@@ -8,9 +8,9 @@ for a representative mining workload.
 
 import pytest
 
-from repro.algorithms.triangles import triangle_count
 from repro.datasets import load
 from repro.hw.energy import estimate_energy
+from repro.session import SisaSession
 
 from common import emit
 
@@ -21,8 +21,8 @@ def _collect():
     rows = []
     for name in GRAPHS:
         graph = load(name)
-        sisa = triangle_count(graph, threads=32)
-        host = triangle_count(graph, threads=32, mode="cpu-set")
+        sisa = SisaSession(graph, threads=32).run("triangles")
+        host = SisaSession(graph, threads=32, mode="cpu-set").run("triangles")
         assert sisa.output == host.output
         e_sisa = estimate_energy(sisa.context)
         e_host = estimate_energy(host.context)
@@ -51,4 +51,8 @@ def test_energy_ablation(benchmark):
     for name, e_sisa, e_host in rows:
         assert e_sisa.total_nj < e_host.total_nj
     graph = load(GRAPHS[0])
-    benchmark(lambda: estimate_energy(triangle_count(graph, threads=32).context).total_nj)
+    benchmark(
+        lambda: estimate_energy(
+            SisaSession(graph, threads=32).run("triangles").context
+        ).total_nj
+    )

@@ -14,8 +14,8 @@ whose PNM/PUM trade-off Fig. 7b studies — so it is the sweep workload.
 
 import pytest
 
-from repro.algorithms.triangles import triangle_count
 from repro.datasets import load
+from repro.session import SisaSession
 
 from common import emit
 
@@ -28,13 +28,13 @@ def _sweep():
     for threshold in GALLOP_THRESHOLDS:
         series = []
         for t in T_VALUES:
-            run = triangle_count(
+            run = SisaSession(
                 graph,
                 threads=32,
                 t=t,
                 budget=2.0,  # ample budget so t fully controls the mix
                 gallop_threshold=threshold,
-            )
+            ).run("triangles")
             series.append((t, run.runtime_cycles / 1e6, run.output))
         rows[threshold] = series
     return rows
@@ -64,4 +64,4 @@ def test_fig7b_sensitivity(benchmark):
         assert best < runtimes[0.0]
         assert best <= runtimes[1.0]
     graph = load("bio-mouseGene")
-    benchmark(lambda: triangle_count(graph, threads=32, t=0.4).output)
+    benchmark(lambda: SisaSession(graph, threads=32, t=0.4).run("triangles").output)

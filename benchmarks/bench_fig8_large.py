@@ -8,11 +8,10 @@ because those networks lack large cliques and dense clusters.
 
 import pytest
 
-from repro.algorithms.clique_star import kclique_star
-from repro.algorithms.kclique import kclique_count
 from repro.baselines.nonset import kclique_count_nonset, kclique_star_nonset
 from repro.bench.harness import ResultTable
 from repro.datasets import load
+from repro.session import SisaSession
 
 from common import emit
 
@@ -36,10 +35,12 @@ def _fill_table() -> ResultTable:
             nonset = kclique_count_nonset(
                 graph, k, threads=THREADS, max_patterns=CUTOFF
             )
-            set_based = kclique_count(
-                graph, k, threads=THREADS, mode="cpu-set", max_patterns=CUTOFF
+            set_based = SisaSession(graph, threads=THREADS, mode="cpu-set").run(
+                "kclique", k=k, max_patterns=CUTOFF
             )
-            sisa = kclique_count(graph, k, threads=THREADS, max_patterns=CUTOFF)
+            sisa = SisaSession(graph, threads=THREADS).run(
+                "kclique", k=k, max_patterns=CUTOFF
+            )
             assert nonset.output == set_based.output == sisa.output
             table.add(f"kcc-{k}", name, "non-set", nonset.runtime_cycles)
             table.add(f"kcc-{k}", name, "set-based", set_based.runtime_cycles)
@@ -48,10 +49,12 @@ def _fill_table() -> ResultTable:
             nonset = kclique_star_nonset(
                 graph, k, threads=THREADS, max_patterns=5000
             )
-            set_based = kclique_star(
-                graph, k, threads=THREADS, mode="cpu-set", max_patterns=5000
+            set_based = SisaSession(graph, threads=THREADS, mode="cpu-set").run(
+                "kclique_star", k=k, max_patterns=5000
             )
-            sisa = kclique_star(graph, k, threads=THREADS, max_patterns=5000)
+            sisa = SisaSession(graph, threads=THREADS).run(
+                "kclique_star", k=k, max_patterns=5000
+            )
             table.add(f"ksc-{k}", name, "non-set", nonset.runtime_cycles)
             table.add(f"ksc-{k}", name, "set-based", set_based.runtime_cycles)
             table.add(f"ksc-{k}", name, "sisa", sisa.runtime_cycles)
@@ -89,5 +92,7 @@ def test_fig8_large_graphs(benchmark):
         assert setb[light] / kcc4[light] < 3.0
     graph = load("sc-pwtk")
     benchmark(
-        lambda: kclique_count(graph, 4, threads=8, max_patterns=2000).output
+        lambda: SisaSession(graph, threads=8).run(
+            "kclique", k=4, max_patterns=2000
+        ).output
     )

@@ -12,9 +12,9 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.kclique import kclique_count
 from repro.baselines.nonset import kclique_count_nonset
 from repro.datasets import load
+from repro.session import SisaSession
 
 from common import emit
 
@@ -45,7 +45,7 @@ def _stall_table():
         nonset = kclique_count_nonset(graph, k, threads=THREADS)
         cells["non-set"] = _idle_fractions(nonset.report)
         for mode in ("cpu-set", "sisa"):
-            run = kclique_count(graph, k, threads=THREADS, mode=mode)
+            run = SisaSession(graph, threads=THREADS, mode=mode).run("kclique", k=k)
             key = "set-based" if mode == "cpu-set" else "sisa"
             cells[key] = _idle_fractions(run.report)
         rows[f"kcc-{k}"] = cells
@@ -55,8 +55,10 @@ def _stall_table():
 def _set_size_histograms():
     graph = load(GRAPH)
     bins = np.array([0, 10, 20, 30, 40, 50, 60, 70, 80, 100, 150, 1000])
-    full = kclique_count(graph, 4, threads=6, trace=True)
-    partial = kclique_count(graph, 4, threads=6, trace=True, max_patterns=50_000)
+    full = SisaSession(graph, threads=6, trace=True).run("kclique", k=4)
+    partial = SisaSession(graph, threads=6, trace=True).run(
+        "kclique", k=4, max_patterns=50_000
+    )
     return bins, full, partial
 
 
@@ -104,5 +106,7 @@ def test_fig9_load_balance(benchmark):
     assert partial_sizes.max() >= 0.5 * full_sizes.max()
     graph = load(GRAPH)
     benchmark(
-        lambda: kclique_count(graph, 4, threads=8, max_patterns=2000).output
+        lambda: SisaSession(graph, threads=8).run(
+            "kclique", k=4, max_patterns=2000
+        ).output
     )

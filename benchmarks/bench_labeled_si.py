@@ -8,9 +8,10 @@ eliminates some recursive calls earlier."  Each vertex receives one of
 
 import pytest
 
-from repro.algorithms.subgraph_iso import star_pattern, subgraph_isomorphism
+from repro.algorithms.subgraph_iso import star_pattern
 from repro.graphs.generators import chung_lu_graph
 from repro.graphs.labels import Labeling
+from repro.session import SisaSession
 
 from common import emit
 
@@ -27,11 +28,10 @@ def _collect():
         ("chung-lu-400", chung_lu_graph(400, 1500, gamma=3.2, seed=22)),
     ):
         pattern = star_pattern(3)
-        unlabeled = subgraph_isomorphism(graph, pattern, threads=32)
-        labeled = subgraph_isomorphism(
-            graph,
-            pattern,
-            threads=32,
+        unlabeled = SisaSession(graph, threads=32).run("subgraph_iso", pattern=pattern)
+        labeled = SisaSession(graph, threads=32).run(
+            "subgraph_iso",
+            pattern=pattern,
             target_labels=Labeling.random(graph, NUM_LABELS, seed=1),
             pattern_labels=Labeling(pattern, [0, 1, 2, 0]),
         )
@@ -69,7 +69,7 @@ def test_labeled_si(benchmark):
     graph = chung_lu_graph(300, 1200, gamma=3.0, seed=23)
     pattern = star_pattern(3)
     benchmark(
-        lambda: subgraph_isomorphism(
-            graph, pattern, threads=32, max_matches=2000
+        lambda: SisaSession(graph, threads=32).run(
+            "subgraph_iso", pattern=pattern, max_matches=2000
         ).output
     )

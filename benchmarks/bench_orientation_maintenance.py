@@ -32,11 +32,11 @@ Env knobs: ``BENCH_ORIENT_SCALE`` (RMAT scale, default 10),
 
 import os
 
-from repro.algorithms.common import make_context
 from repro.algorithms.triangles import triangle_count_oriented
 from repro.graphs.digraph import orient_by_order
 from repro.graphs.orientation import degeneracy_order
 from repro.graphs.streams import rmat_churn_stream
+from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 from repro.streaming import (
     DynamicSetGraph,
@@ -65,7 +65,7 @@ def _bootstrap(graph, *, repeel_every_batch: bool):
     The seed orientation is graph loading (uncharged), exactly as in a
     session's first oriented run.
     """
-    ctx = make_context()
+    ctx = SisaContext()
     dyn = DynamicSetGraph.from_graph(graph, ctx)
     seed = degeneracy_order(graph)
     oriented = SetGraph.from_digraph(orient_by_order(graph, seed.order), ctx)
@@ -90,7 +90,7 @@ def _run():
     # Maintainer-free reference: the undirected-update stream both
     # sides pay identically, subtracted so the comparison is pure
     # orientation upkeep.
-    base_ctx = make_context()
+    base_ctx = SisaContext()
     base_engine = StreamingEngine(DynamicSetGraph.from_graph(graph, base_ctx))
 
     rows = []

@@ -8,14 +8,13 @@ Peregrine cannot express natively) and >100x faster than RStream.
 
 import pytest
 
-from repro.algorithms.bron_kerbosch import maximal_cliques
-from repro.algorithms.kclique import kclique_count
 from repro.baselines.frameworks import (
     peregrine_like_kclique,
     peregrine_like_maximal_cliques,
     rstream_like_kclique,
 )
 from repro.datasets import load
+from repro.session import SisaSession
 
 from common import emit
 
@@ -26,12 +25,16 @@ def _collect():
     rows = []
     for name in GRAPHS:
         graph = load(name)
-        sisa_kcc = kclique_count(graph, 4, threads=32, max_patterns=10_000)
+        sisa_kcc = SisaSession(graph, threads=32).run(
+            "kclique", k=4, max_patterns=10_000
+        )
         peregrine = peregrine_like_kclique(
             graph, 4, threads=32, max_patterns=10_000
         )
         rstream = rstream_like_kclique(graph, 4, threads=32)
-        sisa_mc = maximal_cliques(graph, threads=32, max_patterns=300)
+        sisa_mc = SisaSession(graph, threads=32).run(
+            "maximal_cliques", max_patterns=300
+        )
         peregrine_mc = peregrine_like_maximal_cliques(
             graph, threads=32, max_patterns=300, max_size=6
         )

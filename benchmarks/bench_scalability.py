@@ -8,10 +8,10 @@ subsystem).
 
 import pytest
 
-from repro.algorithms.kclique import kclique_count
 from repro.baselines.nonset import kclique_count_nonset
 from repro.graphs.generators import kronecker_graph
 from repro.hw.config import commodity_cpu_config
+from repro.session import SisaSession
 
 from common import emit
 
@@ -23,7 +23,9 @@ def _strong_scaling():
     graph = kronecker_graph(10, 16, seed=3)
     rows = []
     for threads in THREADS:
-        sisa = kclique_count(graph, 4, threads=threads, max_patterns=CUTOFF)
+        sisa = SisaSession(graph, threads=threads).run(
+            "kclique", k=4, max_patterns=CUTOFF
+        )
         nonset = kclique_count_nonset(
             graph,
             4,
@@ -46,7 +48,9 @@ def _weak_scaling():
     rows = []
     for threads, scale in [(4, 9), (8, 10), (16, 11), (32, 12)]:
         graph = kronecker_graph(scale, 12, seed=5)
-        sisa = kclique_count(graph, 4, threads=threads, max_patterns=CUTOFF)
+        sisa = SisaSession(graph, threads=threads).run(
+            "kclique", k=4, max_patterns=CUTOFF
+        )
         nonset = kclique_count_nonset(
             graph,
             4,
@@ -89,5 +93,7 @@ def test_scalability(benchmark):
     assert strong[-1][3] > strong[0][3]
     graph = kronecker_graph(9, 8, seed=1)
     benchmark(
-        lambda: kclique_count(graph, 4, threads=32, max_patterns=2000).output
+        lambda: SisaSession(graph, threads=32).run(
+            "kclique", k=4, max_patterns=2000
+        ).output
     )

@@ -7,9 +7,9 @@ a small (<1%) slowdown from its longer access latency.
 
 import pytest
 
-from repro.algorithms.kclique import kclique_count
 from repro.datasets import load
 from repro.hw.config import HardwareConfig
+from repro.session import SisaSession
 
 from common import emit
 
@@ -21,11 +21,11 @@ def _sweep():
     graph = load(GRAPH)
     rows = []
     for threads in (1, 32):
-        with_cache = kclique_count(
-            graph, 4, threads=threads, max_patterns=CUTOFF
+        with_cache = SisaSession(graph, threads=threads).run(
+            "kclique", k=4, max_patterns=CUTOFF
         )
-        without = kclique_count(
-            graph, 4, threads=threads, smb_enabled=False, max_patterns=CUTOFF
+        without = SisaSession(graph, threads=threads, smb_enabled=False).run(
+            "kclique", k=4, max_patterns=CUTOFF
         )
         hit_rate = with_cache.context.scu.smb.stats.hit_rate
         rows.append(
@@ -40,8 +40,8 @@ def _sweep():
     # Shared cache: model as a single SMB with higher hit rate but a
     # 2-cycle higher hit latency (the paper's small slowdown).
     shared_hw = HardwareConfig(sm_hit_cycles=4.0, smb_entries=4096)
-    shared = kclique_count(
-        graph, 4, threads=32, hw=shared_hw, max_patterns=CUTOFF
+    shared = SisaSession(graph, threads=32, hw=shared_hw).run(
+        "kclique", k=4, max_patterns=CUTOFF
     )
     return rows, shared.runtime_cycles / 1e6
 
@@ -77,5 +77,7 @@ def test_scu_cache(benchmark):
     assert abs(shared / t32[1] - 1.0) < 0.1
     graph = load(GRAPH)
     benchmark(
-        lambda: kclique_count(graph, 4, threads=1, max_patterns=2000).output
+        lambda: SisaSession(graph, threads=1).run(
+            "kclique", k=4, max_patterns=2000
+        ).output
     )

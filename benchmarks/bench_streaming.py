@@ -25,9 +25,9 @@ import os
 
 import numpy as np
 
-from repro.algorithms.common import make_context
 from repro.graphs.csr import CSRGraph
 from repro.graphs.streams import rmat_churn_stream
+from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 from repro.streaming import (
     DynamicSetGraph,
@@ -77,7 +77,7 @@ def _work(ctx) -> float:
 def _full_recompute(edges: np.ndarray, n: int, pairs: np.ndarray):
     """One static-pipeline pass: rebuild the SetGraph view and recompute
     everything (graph loading is uncharged, as everywhere else)."""
-    ctx = make_context()
+    ctx = SisaContext()
     sg = SetGraph.from_graph(CSRGraph.from_edges(n, edges), ctx)
     counts = local_triangle_counts(sg, ctx)
     coeffs = clustering_coefficients_from_counts(counts, degrees_of(sg))
@@ -92,7 +92,7 @@ def _run():
     graph = stream.initial_graph()
     pairs = _watchlist(graph, WATCHLIST)
 
-    ctx = make_context()
+    ctx = SisaContext()
     dyn = DynamicSetGraph.from_graph(graph, ctx)
     bootstrap_start = _work(ctx)
     tri = IncrementalTriangleCount(dyn)
@@ -167,7 +167,7 @@ def test_streaming_incremental_speedup(benchmark):
     assert full_total / inc_total >= MIN_SPEEDUP
 
     def one_incremental_batch():
-        ctx = make_context()
+        ctx = SisaContext()
         dyn = DynamicSetGraph.from_graph(stream.initial_graph(), ctx)
         engine = StreamingEngine(dyn, [IncrementalTriangleCount(dyn, count=0)])
         engine.step(stream.batches[0])

@@ -12,12 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
@@ -83,22 +77,3 @@ def bfs_on(
     ctx.free(frontier)
     ctx.free(unvisited)
     return parent
-
-
-def bfs(
-    graph: CSRGraph,
-    root: int = 0,
-    *,
-    direction: str = "auto",
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: BFS on a cold session."""
-    warn_one_shot("bfs", "bfs")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("bfs", root=root, direction=direction))

@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    PatternBudget,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
+from repro.algorithms.common import PatternBudget
 from repro.graphs.csr import CSRGraph
 from repro.graphs.orientation import degeneracy_order
 from repro.runtime.context import SisaContext
@@ -134,28 +128,3 @@ def maximal_cliques_on(
         ctx.free(x)
     ctx.free(later)
     return cliques
-
-
-def maximal_cliques(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    max_patterns_per_root: int | None = None,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: Bron-Kerbosch clique listing on a cold session."""
-    warn_one_shot("maximal_cliques", "maximal_cliques")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "maximal_cliques",
-            max_patterns=max_patterns,
-            max_patterns_per_root=max_patterns_per_root,
-        )
-    )

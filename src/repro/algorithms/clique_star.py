@@ -15,13 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
-from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.algorithms.kclique import kclique_count_on
 from repro.runtime.context import SisaContext
@@ -91,29 +84,3 @@ def kclique_star_from_k1_on(
             key = tuple(sorted(members - {v}))
             stars[key].add(v)
     return {key: tuple(sorted(extra)) for key, extra in sorted(stars.items())}
-
-
-def kclique_star(
-    graph: CSRGraph,
-    k: int,
-    *,
-    variant: str = "from_k1",
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: k-clique-star listing (ksc-k) on a cold session."""
-    if variant not in ("intersect", "from_k1"):
-        raise ConfigError("variant must be 'intersect' or 'from_k1'")
-    warn_one_shot("kclique_star", "kclique_star")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "kclique_star", k=k, variant=variant, max_patterns=max_patterns
-        )
-    )

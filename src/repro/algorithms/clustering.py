@@ -12,19 +12,9 @@ induce (the clusters).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.algorithms.similarity import (
-    BATCHABLE_MEASURES,
     iter_shared_first_runs,
     similarity_batch_on,
-    similarity_on,
 )
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
@@ -38,34 +28,21 @@ def jarvis_patrick_on(
     *,
     tau: float,
     measure: str = "common_neighbors",
-    batch: bool = True,
 ) -> list[tuple[int, int]]:
     """Edges whose endpoint similarity exceeds tau.
 
-    With ``batch=True`` (and a batchable measure — all cardinality-only
-    measures plus Adamic-Adar / Resource Allocation), each vertex's
-    edge run is scored as one batched instruction burst over its
-    incident edges instead of one dispatch per edge."""
+    Each vertex's edge run is scored as one batched instruction burst
+    over its incident edges."""
     kept: list[tuple[int, int]] = []
     edges = graph.edge_array()
-    if batch and measure in BATCHABLE_MEASURES:
-        for u, i, j in iter_shared_first_runs(edges):
-            ctx.begin_task()
-            run = edges[i:j]
-            scores = similarity_batch_on(
-                ctx, sg, u, run[:, 1], measure=measure
-            )
-            ctx.charge_host_ops(2 * len(run))  # threshold compare + append
-            for (uu, vv), score in zip(run, scores):
-                if score > tau:
-                    kept.append((int(uu), int(vv)))
-        return kept
-    for u, v in edges:
+    for u, i, j in iter_shared_first_runs(edges):
         ctx.begin_task()
-        score = similarity_on(ctx, sg, int(u), int(v), measure=measure)
-        ctx.charge_host_ops(2)  # threshold compare + append
-        if score > tau:
-            kept.append((int(u), int(v)))
+        run = edges[i:j]
+        scores = similarity_batch_on(ctx, sg, u, run[:, 1], measure=measure)
+        ctx.charge_host_ops(2 * len(run))  # threshold compare + append
+        for (uu, vv), score in zip(run, scores):
+            if score > tau:
+                kept.append((int(uu), int(vv)))
     return kept
 
 
@@ -90,26 +67,3 @@ def clusters_from_edges(
     for w in touched:
         groups.setdefault(find(w), set()).add(w)
     return sorted(groups.values(), key=lambda s: (-len(s), min(s)))
-
-
-def jarvis_patrick(
-    graph: CSRGraph,
-    *,
-    tau: float = 2.0,
-    measure: str = "common_neighbors",
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: Jarvis-Patrick clustering (cl-*) on a cold
-    session."""
-    warn_one_shot("jarvis_patrick", "jarvis_patrick")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run("jarvis_patrick", tau=tau, measure=measure, batch=batch)
-    )

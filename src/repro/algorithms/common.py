@@ -10,29 +10,18 @@ Every algorithm in this package follows the same contract:
   the paper's methodology for long simulations ("we usually also
   pre-specify a number of graph patterns to be found", Section 9.1).
 
-The per-call entry points (``triangle_count(graph, ...)`` and friends)
-are deprecated shims over the session API
-(:class:`~repro.session.session.SisaSession`): each builds a cold
-session, runs the registered workload once, and repackages the result
-as the legacy :class:`AlgorithmRun` — a cold session issues exactly the
-pre-session instruction stream, so the shims are cycle-identical to the
-code they replaced.
+The kernels are the ``*_on`` functions; they are run through the
+session API (:class:`~repro.session.session.SisaSession`), which owns
+the context and caches the SetGraph views across runs.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Any, Callable
-
 from repro.graphs.csr import CSRGraph
 from repro.graphs.digraph import DiGraph, orient_by_order
 from repro.graphs.orientation import degeneracy_order
-from repro.hw.config import CpuConfig, HardwareConfig
-from repro.hw.engine import EngineReport
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
-from repro.session import ExecutionConfig, RunResult, SisaSession
 
 
 class PatternBudget:
@@ -50,49 +39,6 @@ class PatternBudget:
         return self.limit is not None and self.found >= self.limit
 
 
-@dataclass
-class AlgorithmRun:
-    """Functional output plus the simulated timing of one run.
-
-    Superseded by :class:`~repro.session.result.RunResult`; kept as the
-    return type of the deprecated one-shot shims.
-    """
-
-    output: Any
-    report: EngineReport
-    context: SisaContext
-
-    @property
-    def runtime_cycles(self) -> float:
-        return self.report.runtime_cycles
-
-    @property
-    def runtime_mcycles(self) -> float:
-        """Millions of cycles — the unit of the paper's Fig. 6 y-axis."""
-        return self.report.runtime_cycles / 1e6
-
-
-def make_context(
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    hw: HardwareConfig | None = None,
-    cpu: CpuConfig | None = None,
-    gallop_threshold: float | None = None,
-    smb_enabled: bool = True,
-    trace: bool = False,
-) -> SisaContext:
-    return SisaContext(
-        threads=threads,
-        mode=mode,
-        hw=hw,
-        cpu=cpu,
-        gallop_threshold=gallop_threshold,
-        smb_enabled=smb_enabled,
-        trace=trace,
-    )
-
-
 def oriented_setgraph(
     graph: CSRGraph,
     ctx: SisaContext,
@@ -106,110 +52,3 @@ def oriented_setgraph(
     digraph = orient_by_order(graph, result.order)
     sg = SetGraph.from_digraph(digraph, ctx, t=t, budget=budget, policy=policy)
     return digraph, sg
-
-
-# ---------------------------------------------------------------------------
-# Deprecated one-shot shims
-# ---------------------------------------------------------------------------
-
-
-# Entry points that already warned this process (the standard warning
-# filters dedupe per *call site*, so a shim hammered from a loop — or
-# from many modules of the same application — would re-warn on every
-# new location; one notice per entry point is enough).
-_warned_one_shots: set[str] = set()
-
-
-def warn_one_shot(name: str, workload: str, *, stacklevel: int = 3) -> None:
-    """Deprecation notice shared by every one-shot entry point.
-
-    Emitted once per entry point per process, and attributed to the
-    *caller* of the shim (``stacklevel=3``: ``warnings.warn`` → this
-    helper → the shim → its caller), so the notice points at the code
-    that needs migrating, not at the shim.  Wrappers that add a frame
-    between the user and the shim can pass a larger ``stacklevel``.
-    """
-    if name in _warned_one_shots:
-        return
-    _warned_one_shots.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; hold a repro.session.SisaSession and "
-        f"call session.run({workload!r}) to amortize setup across runs",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_one_shot_warnings() -> None:
-    """Re-arm every one-shot deprecation notice (test support)."""
-    _warned_one_shots.clear()
-
-
-def one_shot_session(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    policy: str = "fraction",
-    **context_kwargs: Any,
-) -> SisaSession:
-    """A cold session configured exactly like the legacy kwarg sprawl."""
-    config = ExecutionConfig(
-        threads=threads,
-        mode=mode,
-        t=t,
-        budget=budget,
-        policy=policy,
-        **context_kwargs,
-    )
-    return SisaSession(graph, config)
-
-
-def one_shot_result(run: RunResult) -> AlgorithmRun:
-    """Repackage a cold-session RunResult as the legacy AlgorithmRun.
-
-    On a cold session the context's lifetime report *is* the run's
-    report, so the legacy semantics are preserved bit-for-bit.
-    """
-    ctx = run.session.ctx
-    return AlgorithmRun(output=run.output, report=ctx.report(), context=ctx)
-
-
-def run_algorithm(
-    algorithm: Callable[..., Any],
-    graph: CSRGraph,
-    *args: Any,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    policy: str = "fraction",
-    trace: bool = False,
-    gallop_threshold: float | None = None,
-    smb_enabled: bool = True,
-    hw: HardwareConfig | None = None,
-    cpu: CpuConfig | None = None,
-    **kwargs: Any,
-) -> AlgorithmRun:
-    """Deprecated: run ``algorithm(graph, ctx, sg, ...)`` on a cold session.
-
-    Use ``SisaSession.run(algorithm, ...)`` instead — the session keeps
-    the context and SetGraph alive across calls.
-    """
-    warn_one_shot("run_algorithm", "<algorithm>")
-    session = one_shot_session(
-        graph,
-        threads=threads,
-        mode=mode,
-        t=t,
-        budget=budget,
-        policy=policy,
-        trace=trace,
-        gallop_threshold=gallop_threshold,
-        smb_enabled=smb_enabled,
-        hw=hw,
-        cpu=cpu,
-    )
-    return one_shot_result(session.run(algorithm, *args, **kwargs))

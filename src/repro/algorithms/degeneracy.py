@@ -13,12 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
@@ -68,24 +62,6 @@ def approx_degeneracy_on(
         ctx.free(live_neighborhoods[v])
     ctx.free(remaining)
     return eta
-
-
-def approx_degeneracy(
-    graph: CSRGraph,
-    *,
-    eps: float = 0.5,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: approximate degeneracy on a cold session."""
-    warn_one_shot("approx_degeneracy", "approx_degeneracy")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("approx_degeneracy", eps=eps))
 
 
 def kcore_from_eta(

@@ -17,14 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.algorithms.subgraph_iso import subgraph_isomorphism_on
 from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
@@ -146,22 +138,3 @@ def frequent_subgraphs_on(
             frequent[size] = found
         size += 1
     return FsmResult(frequent=frequent, supports=supports)
-
-
-def frequent_subgraphs(
-    graph: CSRGraph,
-    *,
-    sigma: float = 0.5,
-    max_size: int = 3,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: frequent subgraph mining on a cold session."""
-    warn_one_shot("frequent_subgraphs", "fsm")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("fsm", sigma=sigma, max_size=max_size))

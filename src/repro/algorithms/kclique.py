@@ -6,21 +6,14 @@ of the next clique vertex.  Work is ``O(k m (c/2)^(k-2))`` with merge
 intersections (paper Table 6).
 
 The specialized 4-clique counter from Table 4 of the paper is also
-provided (``four_clique_count``): it replaces the recursion by two
+provided (``four_clique_count_on``): it replaces the recursion by two
 nested loops and an ``intersect_count``.
 """
 
 from __future__ import annotations
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    PatternBudget,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
+from repro.algorithms.common import PatternBudget
 from repro.errors import ConfigError, SisaError
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
@@ -34,7 +27,6 @@ def _count_from(
     prefix: list[int],
     budget: PatternBudget,
     cliques: list[tuple[int, ...]] | None,
-    batch: bool,
 ) -> int:
     """Recursive step: ``candidates`` holds C_level (paper lines 11-18)."""
     if budget.exhausted:
@@ -54,15 +46,10 @@ def _count_from(
         vs = ctx.elements(candidates)
         if vs.size == 0:
             return 0
-        if batch:
-            counts = ctx.intersect_count_batch(
-                candidates, [sg.neighborhood(v) for v in vs.tolist()]
-            )
-            total = int(counts.sum())
-        else:
-            total = 0
-            for v in vs:
-                total += ctx.intersect_count(candidates, sg.neighborhood(int(v)))
+        counts = ctx.intersect_count_batch(
+            candidates, [sg.neighborhood(v) for v in vs.tolist()]
+        )
+        total = int(counts.sum())
         budget.count(total)
         return total
     total = 0
@@ -73,7 +60,7 @@ def _count_from(
         next_candidates = ctx.intersect(sg.neighborhood(v), candidates)
         total += _count_from(
             ctx, sg, level + 1, k, next_candidates, prefix + [v], budget,
-            cliques, batch,
+            cliques,
         )
         ctx.free(next_candidates)
     return total
@@ -86,13 +73,12 @@ def kclique_count_on(
     *,
     max_patterns: int | None = None,
     collect: bool = False,
-    batch: bool = True,
 ) -> int | list[tuple[int, ...]]:
     """Count (or list) k-cliques on an oriented SetGraph.
 
     Pure counting runs (no ``collect``, no pattern cutoff) use the
     zero-materialization counting fast path at the deepest level,
-    batched over each candidate frontier when ``batch=True``.
+    batched over each candidate frontier.
     """
     if k < 2:
         raise ConfigError("k must be at least 2")
@@ -104,7 +90,7 @@ def kclique_count_on(
             break
         ctx.begin_task()
         c2 = sg.neighborhood(u)
-        total += _count_from(ctx, sg, 2, k, c2, [u], budget, cliques, batch)
+        total += _count_from(ctx, sg, 2, k, c2, [u], budget, cliques)
     if collect:
         if cliques is None:  # pragma: no cover - internal invariant
             raise SisaError(
@@ -115,79 +101,36 @@ def kclique_count_on(
     return total
 
 
-def kclique_count(
-    graph: CSRGraph,
-    k: int,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    collect: bool = False,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: k-clique counting/listing (kcc-k) on a cold
-    session."""
-    warn_one_shot("kclique_count", "kclique")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "kclique", k=k, max_patterns=max_patterns, collect=collect,
-            batch=batch,
-        )
-    )
-
-
 def four_clique_count_on(
     ctx: SisaContext,
     sg: SetGraph,
     *,
     max_patterns: int | None = None,
-    batch: bool = True,
 ) -> int:
     """Table 4's specialized 4-clique snippet: no recursion needed.
 
-    The inner ``|S1 ∩ N+(v3)|`` fan-out is one batched count burst per
-    wedge when ``batch=True`` and no pattern cutoff is active —
-    identical instruction stream and simulated cycles, minus the
-    interpreter overhead.
+    Without a pattern cutoff, the inner ``|S1 ∩ N+(v3)|`` fan-out is
+    one batched count burst per wedge.
     """
     budget = PatternBudget(max_patterns)
     count = 0
     nbh = sg.neighborhood
     if budget.limit is None:
-        # Batched formulation (identical instruction stream whether the
-        # ops run batched or scalar): materialize all wedge sets S1 of
-        # one vertex's frontier in one burst, then one count burst per
-        # wedge.
+        # Materialize all wedge sets S1 of one vertex's frontier in one
+        # burst, then one count burst per wedge.
         for v1 in range(sg.num_vertices):
             ctx.begin_task()
             out_v1 = nbh(v1)
             vs2 = ctx.elements(out_v1).tolist()
             if not vs2:
                 continue
-            nbh2 = [nbh(v2) for v2 in vs2]
-            if batch:
-                s1_ids = ctx.intersect_batch(out_v1, nbh2)
-            else:
-                s1_ids = [ctx.intersect(out_v1, nb) for nb in nbh2]
+            s1_ids = ctx.intersect_batch(out_v1, [nbh(v2) for v2 in vs2])
             for s1 in s1_ids:
                 vs3 = ctx.elements(s1).tolist()
                 if vs3:
-                    if batch:
-                        found = int(
-                            ctx.intersect_count_batch(
-                                s1, [nbh(v3) for v3 in vs3]
-                            ).sum()
-                        )
-                    else:
-                        found = 0
-                        for v3 in vs3:
-                            found += ctx.intersect_count(s1, nbh(v3))
+                    found = int(
+                        ctx.intersect_count_batch(s1, [nbh(v3) for v3 in vs3]).sum()
+                    )
                     count += found
                     budget.count(found)
                 ctx.free(s1)
@@ -209,24 +152,3 @@ def four_clique_count_on(
                     break
             ctx.free(s1)
     return count
-
-
-def four_clique_count(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: specialized 4-clique counting on a cold session."""
-    warn_one_shot("four_clique_count", "four_clique")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run("four_clique", max_patterns=max_patterns, batch=batch)
-    )

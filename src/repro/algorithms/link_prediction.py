@@ -16,12 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.graphs.csr import CSRGraph
 
 
@@ -64,41 +58,3 @@ def candidate_pairs(
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
     return np.asarray(pairs, dtype=np.int64)
-
-
-def link_prediction_effectiveness(
-    graph: CSRGraph,
-    *,
-    removal_fraction: float = 0.1,
-    measure: str = "jaccard",
-    batch: bool = True,
-    top_k: int | None = None,
-    candidate_limit: int | None = 20_000,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    seed: int = 7,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: the full Algorithm 10 pipeline on a cold session.
-
-    The pipeline itself (sparsification, candidate scoring, the final
-    ``|E_predict ∩ E_rndm|`` intersection) lives in the
-    ``link_prediction`` session workload.
-    """
-    warn_one_shot("link_prediction_effectiveness", "link_prediction")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "link_prediction",
-            removal_fraction=removal_fraction,
-            measure=measure,
-            batch=batch,
-            top_k=top_k,
-            candidate_limit=candidate_limit,
-            seed=seed,
-        )
-    )

@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.errors import ConfigError
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
@@ -41,12 +34,6 @@ COUNT_MEASURES = (
     "total_neighbors",
     "preferential_attachment",
 )
-
-# Everything batchable over a shared-u frontier: the count measures
-# plus the shared-neighbor measures (Adamic-Adar, Resource Allocation),
-# which batch through the materializing fan-out instead of the
-# count-form burst.
-BATCHABLE_MEASURES = COUNT_MEASURES + ("adamic_adar", "resource_allocation")
 
 
 def similarity_on(
@@ -123,16 +110,11 @@ def similarity_batch_on(
     ``|N(u)|`` cardinality instruction for every pair, so the batched
     form executes fewer instructions (scores are unchanged).  Measures
     needing the shared neighbors themselves (Adamic-Adar, Resource
-    Allocation) fall back to the per-pair path.
+    Allocation) run on the materializing fan-out instead.
     """
     if measure not in MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; known: {MEASURES}")
     vs = [int(v) for v in vs]
-    if measure not in BATCHABLE_MEASURES:
-        return np.asarray(
-            [similarity_on(ctx, sg, u, v, measure=measure) for v in vs],
-            dtype=np.float64,
-        )
     if measure not in COUNT_MEASURES:
         return _shared_neighbor_batch_on(ctx, sg, u, vs, measure=measure)
     nu = sg.neighborhood(u)
@@ -209,40 +191,16 @@ def all_pairs_similarity_on(
     pairs: np.ndarray,
     *,
     measure: str = "jaccard",
-    batch: bool = True,
 ) -> np.ndarray:
     """Score a batch of vertex pairs (one parallel task per pair block).
 
-    With ``batch=True``, consecutive pairs sharing their first vertex
-    are scored as one batched fan-out (pair order — and thus the score
-    array — is unchanged)."""
+    Consecutive pairs sharing their first vertex are scored as one
+    batched fan-out (pair order — and thus the score array — is
+    unchanged)."""
     scores = np.zeros(len(pairs), dtype=np.float64)
-    if batch and measure in BATCHABLE_MEASURES:
-        for u, i, j in iter_shared_first_runs(pairs):
-            ctx.begin_task()
-            scores[i:j] = similarity_batch_on(
-                ctx, sg, u, [int(p[1]) for p in pairs[i:j]], measure=measure
-            )
-        return scores
-    for i, (u, v) in enumerate(pairs):
+    for u, i, j in iter_shared_first_runs(pairs):
         ctx.begin_task()
-        scores[i] = similarity_on(ctx, sg, int(u), int(v), measure=measure)
+        scores[i:j] = similarity_batch_on(
+            ctx, sg, u, [int(p[1]) for p in pairs[i:j]], measure=measure
+        )
     return scores
-
-
-def vertex_similarity(
-    graph: CSRGraph,
-    u: int,
-    v: int,
-    *,
-    measure: str = "jaccard",
-    threads: int = 1,
-    mode: str = "sisa",
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: one pair similarity on a cold session."""
-    warn_one_shot("vertex_similarity", "similarity")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, **context_kwargs
-    )
-    return one_shot_result(session.run("similarity", u=u, v=v, measure=measure))

@@ -25,13 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    PatternBudget,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
+from repro.algorithms.common import PatternBudget
 from repro.graphs.csr import CSRGraph
 from repro.graphs.labels import Labeling
 from repro.runtime.context import SisaContext
@@ -231,35 +225,3 @@ def subgraph_isomorphism_on(
     if collect:
         return search.matches
     return search.count
-
-
-def subgraph_isomorphism(
-    graph: CSRGraph,
-    pattern: CSRGraph,
-    *,
-    target_labels: Labeling | None = None,
-    pattern_labels: Labeling | None = None,
-    max_matches: int | None = None,
-    collect: bool = False,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: VF2 subgraph isomorphism (si-*) on a cold
-    session."""
-    warn_one_shot("subgraph_isomorphism", "subgraph_iso")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "subgraph_iso",
-            pattern=pattern,
-            target_labels=target_labels,
-            pattern_labels=pattern_labels,
-            max_matches=max_matches,
-            collect=collect,
-        )
-    )

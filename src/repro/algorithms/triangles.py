@@ -8,78 +8,20 @@ once and bounds the merge work by ``O(m c)`` (paper Section 7.2).
 
 from __future__ import annotations
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
 
-def triangle_count_oriented(
-    digraph_sg: SetGraph, ctx: SisaContext, *, batch: bool = True
-) -> int:
+def triangle_count_oriented(digraph_sg: SetGraph, ctx: SisaContext) -> int:
     """Count triangles on an already-oriented SetGraph.
 
     The per-edge ``|N+(u) ∩ N+(v)|`` counts of one vertex's out-
-    neighborhood are issued as one batched count burst (``batch=True``,
-    the default) — same instruction stream, same simulated cycles as
-    the scalar loop (``batch=False``), at NumPy speed.
+    neighborhood are issued as one batched count burst.
     """
     total = 0
     for u in range(digraph_sg.num_vertices):
         ctx.begin_task()
-        out_u = digraph_sg.neighborhood(u)
-        nbrs = ctx.elements(out_u)
-        if batch:
-            if nbrs.size:
-                total += int(digraph_sg.neighborhood_counts(u, nbrs).sum())
-        else:
-            for v in nbrs:
-                total += ctx.intersect_count(
-                    out_u, digraph_sg.neighborhood(int(v))
-                )
+        nbrs = ctx.elements(digraph_sg.neighborhood(u))
+        if nbrs.size:
+            total += int(digraph_sg.neighborhood_counts(u, nbrs).sum())
     return total
-
-
-def triangle_count(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: triangle counting on a cold session."""
-    warn_one_shot("triangle_count", "triangles")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("triangles", batch=batch))
-
-
-def clustering_coefficient(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: global clustering coefficient on a cold session.
-
-    The paper motivates triangle counting by clustering coefficients
-    (Section 5.1.1); this derived metric exercises the same kernel.
-    """
-    warn_one_shot("clustering_coefficient", "clustering_coefficient")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("clustering_coefficient", batch=batch))

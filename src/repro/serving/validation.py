@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.algorithms.similarity import MEASURES
 from repro.errors import ConfigError, SisaError, ValidationError
 
 SCOPES = ("request", "config")
@@ -358,33 +359,21 @@ def _param_domains(ctx: RequestContext):
     return found or None
 
 
-_MEASURE_PARAMS = {
-    "similarity": "MEASURES",
-    "similarity_pairs": "BATCHABLE_MEASURES",
-    "jarvis_patrick": "BATCHABLE_MEASURES",
-    "link_prediction": "BATCHABLE_MEASURES",
-}
-
-
 @rule(
     "measure-known",
-    workloads=tuple(_MEASURE_PARAMS),
+    workloads=("similarity", "similarity_pairs", "jarvis_patrick", "link_prediction"),
 )
 def _measure_known(ctx: RequestContext):
-    """``measure`` must name a similarity measure the workload's batch
-    path supports."""
+    """``measure`` must name a known similarity measure."""
     measure = ctx.params.get("measure")
     if measure is None:
         return None
-    from repro.algorithms import similarity as sim
-
-    allowed = getattr(sim, _MEASURE_PARAMS[ctx.workload])
-    if measure not in allowed:
+    if measure not in MEASURES:
         return Violation(
             "measure-known",
             f"unknown measure {measure!r} for workload {ctx.workload!r}; "
-            f"supported: {sorted(allowed)}",
-            {"measure": repr(measure), "supported": sorted(allowed)},
+            f"supported: {sorted(MEASURES)}",
+            {"measure": repr(measure), "supported": sorted(MEASURES)},
         )
     return None
 
@@ -455,20 +444,6 @@ def _vertices_in_range(ctx: RequestContext):
                 )
             )
     return found or None
-
-
-@rule("batch-flag")
-def _batch_flag(ctx: RequestContext):
-    """``batch`` is a tri-state flag: True, False or None (= session
-    default)."""
-    if "batch" in ctx.params and ctx.params["batch"] not in (None, True, False):
-        return Violation(
-            "batch-flag",
-            f"parameter 'batch' must be True, False or None, got "
-            f"{ctx.params['batch']!r}",
-            {"value": repr(ctx.params["batch"])},
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------

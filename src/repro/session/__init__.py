@@ -1,8 +1,7 @@
 """Session-centric workload API (the persistent Fig. 3 software layer).
 
 * :class:`ExecutionConfig` — one frozen, validated home for every
-  execution knob that used to be copy-pasted across the one-shot
-  entry-point signatures.
+  execution knob.
 * :class:`SisaSession` — owns one ``SisaContext`` per graph and lazily
   caches the SetGraph, degeneracy order and oriented SetGraph, so
   repeated runs skip all setup while engine epoch marks keep per-run

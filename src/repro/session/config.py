@@ -1,11 +1,10 @@
 """ExecutionConfig: the single home of every execution knob.
 
-Before the session API, the same ~10 keyword arguments (``threads``,
-``mode``, ``t``, ``budget``, ``policy``, ``gallop_threshold``,
-``smb_enabled``, ``hw``, ``cpu``, ``trace``, ``batch``) were copy-pasted
-across ``run_algorithm`` and every algorithm entry point.  They now live
-in one frozen, validated dataclass; a :class:`SisaSession` is configured
-once and every run inherits the configuration.
+Every execution knob (``threads``, ``mode``, ``t``, ``budget``,
+``policy``, ``gallop_threshold``, ``smb_enabled``, ``hw``, ``cpu``,
+``trace``, ...) lives in one frozen, validated dataclass; a
+:class:`SisaSession` is configured once and every run inherits the
+configuration.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ class ExecutionConfig:
       footprint,
     * ``policy`` — ``"fraction"`` or ``"threshold"``.
 
-    Execution-style knobs:
+    Result caching:
 
-    * ``batch`` — default for workloads that support batched
-      instruction bursts (individual runs may override per call),
     * ``result_cache`` — cache registered-workload outputs keyed on
       (workload, params, stream version), so repeated identical runs
       on an unchanged graph are O(1) (``session.invalidate_results()``
@@ -72,7 +69,6 @@ class ExecutionConfig:
     hw: HardwareConfig | None = None
     cpu: CpuConfig | None = None
     trace: bool = False
-    batch: bool = True
     result_cache: bool = True
     result_cache_size: int = 128
     observability: bool = False
@@ -150,7 +146,6 @@ class ExecutionConfig:
             "hw": self.hw,
             "cpu": self.cpu,
             "trace": self.trace,
-            "batch": self.batch,
             "result_cache": self.result_cache,
             "result_cache_size": self.result_cache_size,
             "observability": self.observability,

@@ -168,8 +168,7 @@ class WorkloadPlan:
         self.spec = spec
         self.name = spec.name
         self.params = params
-        # Cache/dedup keys use the spec-normalized parameters (e.g.
-        # ``batch=None`` resolved against the session config), so every
+        # Cache/dedup keys use the spec-normalized parameters, so every
         # spelling of the same request — eager run, plan, or another
         # plan's sub-request — shares one key.
         self.cache_params = (

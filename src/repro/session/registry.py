@@ -7,7 +7,7 @@ degeneracy-oriented SetGraph, the live stream, a snapshot view) and
 returns its functional output.  Registration is declarative::
 
     @workload("triangles", requires="oriented", view_capable=True)
-    def _triangles(session, *, batch=None, view=None):
+    def _triangles(session, *, view=None):
         ...
 
 ``session.run("triangles")`` then dispatches through the registry and
@@ -44,9 +44,9 @@ class WorkloadSpec:
     stages: Callable[[Any, dict], list] | None = None
     # Optional parameter normalizer: ``normalize(session, params)``
     # returns the semantically-resolved parameter dict used for result
-    # cache / dedup keys (e.g. ``batch=None`` resolved against the
-    # session config), so every spelling of the same request shares one
-    # key.  Defaults to the raw params.
+    # cache / dedup keys (e.g. defaulted parameters filled in), so every
+    # spelling of the same request shares one key.  Defaults to the raw
+    # params.
     normalize: Callable[[Any, dict], dict] | None = None
     # Names of the cached sub-requests this workload's plan stages may
     # seed from (beyond its own name) — e.g. clustering_coefficient
@@ -125,9 +125,9 @@ def workload(
 def _ensure_default_workloads() -> None:
     """Load the built-in workload definitions.
 
-    Deferred (not imported by ``repro.session``'s ``__init__``) because
-    the definitions import the algorithm kernels, whose modules import
-    ``repro.session`` for their deprecated one-shot shims.
+    Deferred to the first lookup: the definitions use this module's
+    :func:`workload` decorator and the plan API, so they load once
+    ``repro.session`` is fully initialized.
     """
     import repro.session.workloads  # noqa: F401  (registration side effect)
 

@@ -1,11 +1,11 @@
 """RunResult: the uniform result record of every session run.
 
-Supersedes the per-call ``AlgorithmRun`` (kept only for the deprecated
-one-shot shims): on top of the functional output and the engine report
-it carries *per-run* instruction stats, the set-registration count and
-a configuration echo, all delimited by the engine epoch marks the
-session takes around each run — so a warm session still reports each
-run's own cost, not the context's lifetime accumulation.
+On top of the functional output and the engine report it carries
+*per-run* instruction stats, the set-registration count and a
+configuration echo, all delimited by the engine epoch marks the session
+takes around each run — so a warm session still reports each run's own
+cost, not the context's lifetime accumulation.  On a cold session the
+per-run report equals the context's lifetime report.
 """
 
 from __future__ import annotations

@@ -172,8 +172,7 @@ class SisaSession:
     @property
     def degeneracy(self) -> DegeneracyResult:
         """The degeneracy order of the current graph state (cached per
-        stream version; host-side work, charges nothing — as in the
-        one-shot path)."""
+        stream version; host-side work, charges nothing)."""
         if self._degeneracy is None or self._degeneracy_version != self._version:
             self._degeneracy = degeneracy_order(self.current_graph)
             self._degeneracy_version = self._version
@@ -477,7 +476,7 @@ class SisaSession:
 
         ``workload`` is a registered name (see
         :func:`~repro.session.registry.available_workloads`) or a
-        legacy-style callable ``fn(graph, ctx, setgraph, *args,
+        kernel-style callable ``fn(graph, ctx, setgraph, *args,
         **params)`` run against the undirected SetGraph.
 
         ``view`` routes a view-capable workload against a

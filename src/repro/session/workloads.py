@@ -3,17 +3,12 @@
 Each workload wraps one of the set-centric algorithm kernels
 (``repro.algorithms.*_on``) and pulls its input structures from the
 owning session's caches, so repeated runs skip context construction,
-neighborhood-set registration and degeneracy orientation.  The kernels
-themselves are untouched — a cold session issues exactly the
-instruction stream the deprecated one-shot entry points issued.
+neighborhood-set registration and degeneracy orientation.
 
-This module is imported lazily by the registry (the algorithm modules
-import ``repro.session`` for their deprecated shims).
+This module is imported lazily by the registry, on the first lookup.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,21 +27,19 @@ from repro.algorithms.link_prediction import (
     candidate_pairs,
     edge_ids,
 )
-from repro.algorithms.similarity import all_pairs_similarity_on, similarity_on
+from repro.algorithms.similarity import (
+    all_pairs_similarity_on,
+    iter_shared_first_runs,
+    similarity_on,
+)
 from repro.algorithms.subgraph_iso import subgraph_isomorphism_on
 from repro.algorithms.triangles import triangle_count_oriented
 from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.setgraph import SetGraph
+from repro.session.plan import BurstUnit, PlanStage, subrequest_key
 from repro.session.registry import workload
 from repro.streaming.incremental import degrees_of, local_triangle_counts
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.session.plan import PlanStage
-
-
-def _batch(session, batch):
-    return session.config.batch if batch is None else batch
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +53,13 @@ def _batch(session, batch):
 # tests — while exposing the bursts for cross-plan fusion and the
 # shared sub-requests (e.g. the triangle count inside
 # clustering_coefficient) for dedup.  A builder returns None when the
-# requested parameters are not decomposable (e.g. batch=False); the
-# plan then falls back to one opaque call stage.
+# requested parameters are not decomposable (e.g. a shared-neighbor
+# similarity measure); the plan then falls back to one opaque call
+# stage.
 # ---------------------------------------------------------------------------
 
 
-def _prep_stage(which: str) -> "PlanStage":
-    from repro.session.plan import PlanStage
-
+def _prep_stage(which: str) -> PlanStage:
     def run(session, state, *, _which=which):
         if _which in ("undirected", "both"):
             session.setgraph
@@ -87,11 +79,10 @@ def _prep_stage(which: str) -> "PlanStage":
     )
 
 
-def _triangle_burst_stage() -> "PlanStage":
+def _triangle_burst_stage() -> PlanStage:
     """The shared triangle-count burst stage (Algorithm 1's oriented
     ``|N+(u) ∩ N+(v)|`` bursts) — the sub-request both ``triangles``
     and ``clustering_coefficient`` plans schedule, under one dedup key."""
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
 
     def units(session, state):
         sg = session.oriented_setgraph
@@ -119,7 +110,7 @@ def _triangle_burst_stage() -> "PlanStage":
         kind="bursts",
         label="bursts:triangles",
         reads=("oriented",),
-        key=subrequest_key("triangles", {"batch": True}),
+        key=subrequest_key("triangles", {}),
         units=units,
         result=lambda state: state["triangles"],
         seed=lambda state, value: state.__setitem__("triangles", value),
@@ -129,25 +120,10 @@ def _triangle_burst_stage() -> "PlanStage":
 
 
 def _triangles_stages(session, params):
-    if not _batch(session, params.get("batch")):
-        return None  # the scalar per-pair stream is not decomposable
     return [_prep_stage("oriented"), _triangle_burst_stage()]
 
 
-def _normalize_batch_only(session, params):
-    """Cache-key normalizer for workloads whose only knob is ``batch``:
-    ``None`` resolves against the session config, so ``run("triangles")``
-    and a plan's ``("triangles", {"batch": True})`` sub-request share
-    one key (``batch`` does not change outputs or modeled cycles)."""
-    return {"batch": _batch(session, params.get("batch"))}
-
-
 def _clustering_coefficient_stages(session, params):
-    from repro.session.plan import PlanStage
-
-    if not _batch(session, params.get("batch")):
-        return None
-
     def finalize(session, state):
         count = state["triangles"]
         degrees = session.current_graph.degrees.astype(float)
@@ -167,8 +143,6 @@ def _clustering_coefficient_stages(session, params):
 
 
 def _local_clustering_stages(session, params):
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
-
     def units(session, state):
         sg = session.setgraph
         ctx = session.ctx
@@ -230,13 +204,9 @@ _PLANNABLE_MEASURES = ("jaccard", "overlap", "common_neighbors", "total_neighbor
 
 
 def _similarity_pairs_stages(session, params):
-    from repro.algorithms.similarity import iter_shared_first_runs
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
-
     measure = params.get("measure", "jaccard")
     if (
         "pairs" not in params  # let the opaque path raise the usual error
-        or not _batch(session, params.get("batch"))
         or measure not in _PLANNABLE_MEASURES
     ):
         return None
@@ -290,7 +260,7 @@ def _similarity_pairs_stages(session, params):
             reads=("undirected",),
             key=subrequest_key(
                 "similarity_pairs",
-                {"pairs": pairs, "measure": measure, "batch": True},
+                {"pairs": pairs, "measure": measure},
             ),
             units=units,
             result=lambda state: state["scores"],
@@ -312,17 +282,14 @@ def _similarity_pairs_stages(session, params):
     view_capable=True,
     description="Triangle count (Algorithm 1, oriented count bursts)",
     stages=_triangles_stages,
-    normalize=_normalize_batch_only,
 )
-def _triangles(session, *, batch=None, view=None):
+def _triangles(session, *, view=None):
     ctx = session.ctx
     if view is not None:
         # Unoriented full recompute on a snapshot / live view: per-
         # vertex count bursts; each triangle is seen twice per vertex.
         return int(local_triangle_counts(view, ctx).sum()) // 3
-    return triangle_count_oriented(
-        session.oriented_setgraph, ctx, batch=_batch(session, batch)
-    )
+    return triangle_count_oriented(session.oriented_setgraph, ctx)
 
 
 @workload(
@@ -330,13 +297,10 @@ def _triangles(session, *, batch=None, view=None):
     requires="oriented",
     description="Global clustering coefficient 3T / open wedges",
     stages=_clustering_coefficient_stages,
-    normalize=_normalize_batch_only,
     subrequests=("triangles",),
 )
-def _clustering_coefficient(session, *, batch=None):
-    count = triangle_count_oriented(
-        session.oriented_setgraph, session.ctx, batch=_batch(session, batch)
-    )
+def _clustering_coefficient(session):
+    count = triangle_count_oriented(session.oriented_setgraph, session.ctx)
     degrees = session.current_graph.degrees.astype(float)
     wedges = float((degrees * (degrees - 1) / 2).sum())
     return 3.0 * count / wedges if wedges > 0 else 0.0
@@ -370,14 +334,13 @@ def _local_clustering(session, *, view=None):
     effect_writes=("sets:scratch",),
     description="k-clique counting/listing (Algorithm 3)",
 )
-def _kclique(session, *, k, max_patterns=None, collect=False, batch=None):
+def _kclique(session, *, k, max_patterns=None, collect=False):
     return kclique_count_on(
         session.ctx,
         session.oriented_setgraph,
         k,
         max_patterns=max_patterns,
         collect=collect,
-        batch=_batch(session, batch),
     )
 
 
@@ -387,12 +350,9 @@ def _kclique(session, *, k, max_patterns=None, collect=False, batch=None):
     effect_writes=("sets:scratch",),
     description="Specialized 4-clique counting (Table 4)",
 )
-def _four_clique(session, *, max_patterns=None, batch=None):
+def _four_clique(session, *, max_patterns=None):
     return four_clique_count_on(
-        session.ctx,
-        session.oriented_setgraph,
-        max_patterns=max_patterns,
-        batch=_batch(session, batch),
+        session.ctx, session.oriented_setgraph, max_patterns=max_patterns
     )
 
 
@@ -508,19 +468,14 @@ def _similarity(session, *, u, v, measure="jaccard"):
     normalize=lambda session, params: {
         "pairs": np.asarray(params["pairs"], dtype=np.int64),
         "measure": params.get("measure", "jaccard"),
-        "batch": _batch(session, params.get("batch")),
     }
     if "pairs" in params
     else params,
 )
-def _similarity_pairs(session, *, pairs, measure="jaccard", batch=None, view=None):
+def _similarity_pairs(session, *, pairs, measure="jaccard", view=None):
     target = view if view is not None else session.setgraph
     return all_pairs_similarity_on(
-        session.ctx,
-        target,
-        np.asarray(pairs, dtype=np.int64),
-        measure=measure,
-        batch=_batch(session, batch),
+        session.ctx, target, np.asarray(pairs, dtype=np.int64), measure=measure
     )
 
 
@@ -530,15 +485,10 @@ def _similarity_pairs(session, *, pairs, measure="jaccard", batch=None, view=Non
     effect_writes=("sets:scratch",),
     description="Jarvis-Patrick similarity clustering (Algorithm 11)",
 )
-def _jarvis_patrick(session, *, tau=2.0, measure="common_neighbors", batch=None):
+def _jarvis_patrick(session, *, tau=2.0, measure="common_neighbors"):
     graph = session.current_graph
     kept = jarvis_patrick_on(
-        graph,
-        session.ctx,
-        session.setgraph,
-        tau=tau,
-        measure=measure,
-        batch=_batch(session, batch),
+        graph, session.ctx, session.setgraph, tau=tau, measure=measure
     )
     clusters = clusters_from_edges(graph.num_vertices, kept)
     return {"edges": kept, "clusters": clusters}
@@ -555,7 +505,6 @@ def _link_prediction(
     *,
     removal_fraction=0.1,
     measure="jaccard",
-    batch=None,
     top_k=None,
     candidate_limit=20_000,
     seed=7,
@@ -566,9 +515,8 @@ def _link_prediction(
     workload, not the session: each run removes its own random edge
     subset, so the session's cached sets are not used here and the
     per-run setup is re-registered (uncharged) every time.  The per-run
-    sets are released (model-internal, uncharged — the legacy one-shot
-    path discarded the whole context instead) before returning, so a
-    long-lived session stays bounded under repeated runs.
+    sets are released (model-internal, uncharged) before returning, so
+    a long-lived session stays bounded under repeated runs.
     """
     if not 0.0 < removal_fraction < 1.0:
         raise ConfigError("removal_fraction must be in (0, 1)")
@@ -598,9 +546,7 @@ def _link_prediction(
     )
 
     pairs = candidate_pairs(sparse_graph, limit=candidate_limit)
-    scores = all_pairs_similarity_on(
-        ctx, sg, pairs, measure=measure, batch=_batch(session, batch)
-    )
+    scores = all_pairs_similarity_on(ctx, sg, pairs, measure=measure)
     if top_k is None:
         top_k = removed_count
     top_k = min(top_k, len(pairs))

@@ -7,20 +7,16 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms.bfs import bfs
-from repro.algorithms.clustering import clusters_from_edges, jarvis_patrick
-from repro.algorithms.common import make_context
-from repro.algorithms.degeneracy import approx_degeneracy, kcore_from_eta
-from repro.algorithms.link_prediction import (
-    candidate_pairs,
-    edge_ids,
-    link_prediction_effectiveness,
-)
-from repro.algorithms.similarity import similarity_on, vertex_similarity
+from repro.algorithms.clustering import clusters_from_edges
+from repro.algorithms.degeneracy import kcore_from_eta
+from repro.algorithms.link_prediction import candidate_pairs, edge_ids
+from repro.algorithms.similarity import similarity_on
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import complete_graph, gnp_random_graph, path_graph
 from repro.graphs.orientation import degeneracy_order
+from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
+from repro.session import SisaSession
 
 from conftest import to_networkx
 
@@ -28,7 +24,7 @@ from conftest import to_networkx
 class TestSimilarity:
     @pytest.fixture
     def setup(self, random_graph):
-        ctx = make_context(threads=1, mode="sisa")
+        ctx = SisaContext(threads=1, mode="sisa")
         sg = SetGraph.from_graph(random_graph, ctx)
         return random_graph, ctx, sg
 
@@ -93,13 +89,15 @@ class TestSimilarity:
             similarity_on(ctx, sg, 0, 1, measure="cosine-ish")
 
     def test_end_to_end_wrapper(self, random_graph):
-        run = vertex_similarity(random_graph, 0, 1, measure="jaccard")
+        run = SisaSession(random_graph, threads=1).run(
+            "similarity", u=0, v=1, measure="jaccard"
+        )
         assert 0.0 <= run.output <= 1.0
 
 
 class TestClustering:
     def test_kept_edges_satisfy_threshold(self, random_graph):
-        run = jarvis_patrick(random_graph, tau=2.0, threads=4)
+        run = SisaSession(random_graph, threads=4).run("jarvis_patrick", tau=2.0)
         adjacency = [
             set(map(int, random_graph.neighbors(v)))
             for v in range(random_graph.num_vertices)
@@ -110,12 +108,16 @@ class TestClustering:
             assert ((int(u), int(v)) in kept) == (common > 2.0)
 
     def test_modes_agree(self, random_graph):
-        a = jarvis_patrick(random_graph, tau=1.0, threads=4, mode="sisa")
-        b = jarvis_patrick(random_graph, tau=1.0, threads=4, mode="cpu-set")
+        a = SisaSession(random_graph, threads=4, mode="sisa").run(
+            "jarvis_patrick", tau=1.0
+        )
+        b = SisaSession(random_graph, threads=4, mode="cpu-set").run(
+            "jarvis_patrick", tau=1.0
+        )
         assert a.output["edges"] == b.output["edges"]
 
     def test_complete_graph_single_cluster(self):
-        run = jarvis_patrick(complete_graph(8), tau=1.0, threads=2)
+        run = SisaSession(complete_graph(8), threads=2).run("jarvis_patrick", tau=1.0)
         assert len(run.output["clusters"]) == 1
         assert run.output["clusters"][0] == set(range(8))
 
@@ -144,8 +146,8 @@ class TestLinkPrediction:
 
     def test_effectiveness_bounded(self):
         g = gnp_random_graph(60, 0.2, seed=2)
-        run = link_prediction_effectiveness(
-            g, removal_fraction=0.15, threads=4, seed=3
+        run = SisaSession(g, threads=4).run(
+            "link_prediction", removal_fraction=0.15, seed=3
         )
         result = run.output
         assert 0 <= result.effectiveness <= result.predicted_edges
@@ -161,8 +163,8 @@ class TestLinkPrediction:
                 (base + i, base + j) for i in range(12) for j in range(i + 1, 12)
             ]
         g = CSRGraph.from_edges(60, blocks)
-        run = link_prediction_effectiveness(
-            g, removal_fraction=0.1, threads=4, seed=5
+        run = SisaSession(g, threads=4).run(
+            "link_prediction", removal_fraction=0.1, seed=5
         )
         assert run.output.effectiveness > 0
 
@@ -170,23 +172,23 @@ class TestLinkPrediction:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            link_prediction_effectiveness(random_graph, removal_fraction=1.5)
+            SisaSession(random_graph).run("link_prediction", removal_fraction=1.5)
 
 
 class TestApproxDegeneracy:
     def test_eta_assigns_all(self, random_graph):
-        run = approx_degeneracy(random_graph, threads=4)
+        run = SisaSession(random_graph, threads=4).run("approx_degeneracy")
         assert np.all(run.output >= 0)
 
     def test_eta_rounds_logarithmic(self, random_graph):
-        run = approx_degeneracy(random_graph, threads=4)
+        run = SisaSession(random_graph, threads=4).run("approx_degeneracy")
         rounds = int(run.output.max()) + 1
         assert rounds <= 4 * int(math.log2(random_graph.num_vertices)) + 4
 
     def test_matches_pure_graph_version(self, random_graph):
         from repro.graphs.orientation import approx_degeneracy_order
 
-        run = approx_degeneracy(random_graph, threads=1, eps=0.5)
+        run = SisaSession(random_graph, threads=1).run("approx_degeneracy", eps=0.5)
         pure = approx_degeneracy_order(random_graph, eps=0.5)
         # Same round structure: vertices stripped together share a round.
         eta = run.output
@@ -197,7 +199,7 @@ class TestApproxDegeneracy:
 
     def test_kcore_from_eta(self):
         g = complete_graph(6)
-        eta = approx_degeneracy(g, threads=1).output
+        eta = SisaSession(g, threads=1).run("approx_degeneracy").output
         core = kcore_from_eta(g, eta, 5)
         assert len(core) == 6
         assert len(kcore_from_eta(g, eta, 6)) == 0
@@ -206,7 +208,9 @@ class TestApproxDegeneracy:
 class TestBfs:
     @pytest.mark.parametrize("direction", ["top-down", "bottom-up", "auto"])
     def test_parents_form_bfs_tree(self, random_graph, direction):
-        run = bfs(random_graph, 0, direction=direction, threads=4)
+        run = SisaSession(random_graph, threads=4).run(
+            "bfs", root=0, direction=direction
+        )
         parent = run.output
         nxg = to_networkx(random_graph)
         expected_depth = nx.single_source_shortest_path_length(nxg, 0)
@@ -227,17 +231,17 @@ class TestBfs:
                 assert parent[v] == -1
 
     def test_path_graph_parents(self):
-        run = bfs(path_graph(5), 0, threads=1)
+        run = SisaSession(path_graph(5), threads=1).run("bfs", root=0)
         assert list(run.output) == [0, 0, 1, 2, 3]
 
     def test_invalid_root(self, random_graph):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            bfs(random_graph, -1)
+            SisaSession(random_graph).run("bfs", root=-1)
 
     def test_invalid_direction(self, random_graph):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            bfs(random_graph, 0, direction="sideways")
+            SisaSession(random_graph).run("bfs", root=0, direction="sideways")

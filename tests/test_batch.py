@@ -8,7 +8,8 @@ engine + zero-materialization counting fast path):
   a result set,
 * batched execution is bit-identical to sequential execution in
   functional outputs, simulated cycles, SCU stats, SMB behaviour and
-  traces — batching amortizes Python overhead, not modeled cost.
+  traces — batching amortizes Python overhead, not modeled cost,
+* the batched algorithm kernels agree with independent references.
 """
 
 import numpy as np
@@ -16,21 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.clustering import jarvis_patrick
+from repro.algorithms.clustering import jarvis_patrick_on
+from repro.algorithms.common import oriented_setgraph
 from repro.algorithms.kclique import four_clique_count_on, kclique_count_on
-from repro.algorithms.link_prediction import link_prediction_effectiveness
 from repro.algorithms.similarity import (
     COUNT_MEASURES,
     all_pairs_similarity_on,
     similarity_batch_on,
     similarity_on,
 )
-from repro.algorithms.common import make_context, oriented_setgraph
 from repro.algorithms.triangles import triangle_count_oriented
+from repro.baselines.nonset import (
+    four_clique_count_nonset,
+    kclique_count_nonset,
+    triangle_count_nonset,
+)
 from repro.graphs.generators import gnp_random_graph
 from repro.runtime import batch as batchmod
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
+from repro.session import SisaSession
 from repro.sets import kernels
 from repro.sets.bitops import _popcount_unpackbits, popcount
 from repro.sets.dense import DenseBitvector
@@ -253,51 +259,51 @@ def graph():
 
 
 class TestAlgorithmEquivalence:
-    """Rewired algorithms: batch=True == batch=False, cycles included."""
+    """Batched kernels against independent references: the non-set
+    baselines for counts and the per-pair similarity stream for scores.
+    Two fresh contexts must also replay bit-identically."""
+
+    @staticmethod
+    def _replay(kernel, graph, mode="sisa"):
+        runs = []
+        for _ in range(2):
+            ctx = SisaContext(threads=8, mode=mode)
+            __, sg = oriented_setgraph(graph, ctx)
+            out = kernel(ctx, sg)
+            runs.append((out, ctx.runtime_cycles, ctx.opcode_counts()))
+        assert runs[0] == runs[1]
+        return runs[0][0]
 
     @pytest.mark.parametrize("mode", ["sisa", "cpu-set"])
     def test_triangles(self, graph, mode):
-        runs = []
-        for batch in (True, False):
-            ctx = make_context(threads=8, mode=mode)
-            __, sg = oriented_setgraph(graph, ctx)
-            out = triangle_count_oriented(sg, ctx, batch=batch)
-            runs.append((out, ctx.runtime_cycles, ctx.opcode_counts()))
-        assert runs[0] == runs[1]
+        out = self._replay(
+            lambda ctx, sg: triangle_count_oriented(sg, ctx), graph, mode
+        )
+        assert out == triangle_count_nonset(graph).output
 
     def test_four_clique(self, graph):
-        runs = []
-        for batch in (True, False):
-            ctx = make_context(threads=8)
-            __, sg = oriented_setgraph(graph, ctx)
-            out = four_clique_count_on(ctx, sg, batch=batch)
-            runs.append((out, ctx.runtime_cycles, ctx.opcode_counts()))
-        assert runs[0] == runs[1]
+        out = self._replay(four_clique_count_on, graph)
+        assert out == four_clique_count_nonset(graph).output
 
     def test_kclique_fast_path(self, graph):
-        runs = []
-        for batch in (True, False):
-            ctx = make_context(threads=8)
-            __, sg = oriented_setgraph(graph, ctx)
-            out = kclique_count_on(ctx, sg, 4, batch=batch)
-            runs.append((out, ctx.runtime_cycles, ctx.opcode_counts()))
-        assert runs[0] == runs[1]
+        out = self._replay(lambda ctx, sg: kclique_count_on(ctx, sg, 4), graph)
+        assert out == kclique_count_nonset(graph, 4).output
 
     def test_kclique_fast_path_matches_materializing_recursion(self, graph):
         """The counting fast path must not change the functional count
         relative to the full materializing recursion (forced via
         collect, which disables the fast path)."""
-        ctx = make_context(threads=4)
+        ctx = SisaContext(threads=4)
         __, sg = oriented_setgraph(graph, ctx)
         fast = kclique_count_on(ctx, sg, 4)
-        ctx2 = make_context(threads=4)
+        ctx2 = SisaContext(threads=4)
         __, sg2 = oriented_setgraph(graph, ctx2)
         listed = kclique_count_on(ctx2, sg2, 4, collect=True)
         assert fast == len(listed)
 
     @pytest.mark.parametrize("measure", COUNT_MEASURES)
     def test_similarity_batch_scores(self, graph, measure):
-        ctx = make_context(threads=4)
+        ctx = SisaContext(threads=4)
         sg = SetGraph.from_graph(graph, ctx)
         vs = list(range(1, 20))
         got = similarity_batch_on(ctx, sg, 0, vs, measure=measure)
@@ -310,28 +316,39 @@ class TestAlgorithmEquivalence:
         pairs = np.asarray(
             [(u, v) for u in range(12) for v in range(u + 1, 14)]
         )
-        ctx = make_context(threads=4)
+        ctx = SisaContext(threads=4)
         sg = SetGraph.from_graph(graph, ctx)
         got = all_pairs_similarity_on(ctx, sg, pairs, measure="jaccard")
-        ctx2 = make_context(threads=4)
+        ctx2 = SisaContext(threads=4)
         sg2 = SetGraph.from_graph(graph, ctx2)
-        expected = all_pairs_similarity_on(
-            ctx2, sg2, pairs, measure="jaccard", batch=False
-        )
-        assert np.array_equal(got, expected)
+        expected = [
+            similarity_on(ctx2, sg2, int(u), int(v), measure="jaccard")
+            for u, v in pairs
+        ]
+        assert list(got) == expected
         # The batched path hoists the shared |N(u)| fetch per frontier
         # (a deliberate modeled-cost win): it must never issue MORE
         # instructions than the per-pair stream.
         assert ctx.instruction_count < ctx2.instruction_count
 
     def test_jarvis_patrick_batch_functional(self, graph):
-        batched = jarvis_patrick(graph, tau=1.5, threads=4)
-        scalar = jarvis_patrick(graph, tau=1.5, threads=4, batch=False)
-        assert batched.output == scalar.output
+        ctx = SisaContext(threads=4)
+        sg = SetGraph.from_graph(graph, ctx)
+        kept = jarvis_patrick_on(graph, ctx, sg, tau=1.5)
+        ctx2 = SisaContext(threads=4)
+        sg2 = SetGraph.from_graph(graph, ctx2)
+        expected = [
+            (int(u), int(v))
+            for u, v in graph.edge_array()
+            if similarity_on(
+                ctx2, sg2, int(u), int(v), measure="common_neighbors"
+            ) > 1.5
+        ]
+        assert kept == expected
 
     def test_link_prediction_unchanged(self, graph):
-        run = link_prediction_effectiveness(
-            graph, removal_fraction=0.15, threads=4, seed=3
+        run = SisaSession(graph, threads=4).run(
+            "link_prediction", removal_fraction=0.15, seed=3
         )
         assert run.output.effectiveness >= 0
         assert run.output.predicted_edges > 0

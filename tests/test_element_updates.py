@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.common import make_context
+from repro.runtime.context import SisaContext
 from repro.sets.base import Representation, VertexSet
 from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
@@ -78,7 +78,7 @@ class TestBaseInterface:
 def test_scalar_round_trip_keeps_metadata_in_sync(dense):
     """Regression: insert/remove round-trips on SA and DB, with the SM
     cardinality tracking every step."""
-    ctx = make_context(threads=1)
+    ctx = SisaContext(threads=1)
     sid = ctx.create_set([2, 9, 40], universe=UNIVERSE, dense=dense)
     rep = Representation.DENSE if dense else Representation.SPARSE_SORTED
 
@@ -114,7 +114,7 @@ update_streams = st.lists(
 
 class TestBatchedElementUpdates:
     def _fresh(self, mode="sisa"):
-        ctx = make_context(threads=4, mode=mode)
+        ctx = SisaContext(threads=4, mode=mode)
         sids = [
             ctx.create_set([1, 5, 9, 30], universe=UNIVERSE),
             ctx.create_set([5, 6], universe=UNIVERSE, dense=(mode == "sisa")),
@@ -175,7 +175,7 @@ class TestBatchedElementUpdates:
 
 class TestConvertRepresentation:
     def test_sa_to_db_and_back(self):
-        ctx = make_context(threads=1)
+        ctx = SisaContext(threads=1)
         sid = ctx.create_set([3, 8, 64], universe=UNIVERSE)
         before = ctx.runtime_cycles
         assert ctx.convert_representation(sid, dense=True)
@@ -188,7 +188,7 @@ class TestConvertRepresentation:
         assert np.array_equal(ctx.value(sid).to_array(), [3, 8, 64])
 
     def test_noop_conversion_charges_nothing(self):
-        ctx = make_context(threads=1)
+        ctx = SisaContext(threads=1)
         sid = ctx.create_set([3, 8], universe=UNIVERSE)
         before = ctx.runtime_cycles
         assert not ctx.convert_representation(sid, dense=False)

@@ -3,29 +3,27 @@ counts & cycles, determinism, and the paper's qualitative claims."""
 
 import pytest
 
-from repro.algorithms.bron_kerbosch import maximal_cliques
-from repro.algorithms.kclique import kclique_count
-from repro.algorithms.subgraph_iso import star_pattern, subgraph_isomorphism
-from repro.algorithms.triangles import triangle_count
+from repro.algorithms.subgraph_iso import star_pattern
 from repro.baselines.nonset import kclique_count_nonset
 from repro.datasets import load
 from repro.graphs.labels import Labeling
 from repro.hw.config import commodity_cpu_config
 from repro.isa.opcodes import Opcode
+from repro.session import SisaSession
 
 
 class TestDeterminism:
     def test_same_run_same_cycles(self):
         g = load("int-antCol5-d1")
-        a = kclique_count(g, 4, threads=8, max_patterns=5000)
-        b = kclique_count(g, 4, threads=8, max_patterns=5000)
+        a = SisaSession(g, threads=8).run("kclique", k=4, max_patterns=5000)
+        b = SisaSession(g, threads=8).run("kclique", k=4, max_patterns=5000)
         assert a.output == b.output
         assert a.runtime_cycles == b.runtime_cycles
 
     def test_modes_agree_functionally(self):
         g = load("bn-flyMedulla")
-        sisa = triangle_count(g, threads=8)
-        cpu = triangle_count(g, threads=8, mode="cpu-set")
+        sisa = SisaSession(g, threads=8).run("triangles")
+        cpu = SisaSession(g, threads=8, mode="cpu-set").run("triangles")
         assert sisa.output == cpu.output
 
 
@@ -36,14 +34,14 @@ class TestPaperClaims:
         counting intersects neighborhoods pairwise, so heavy hubs
         produce DB∩DB (PUM) work while the tail stays on PNM."""
         g = load("bio-SC-GT")
-        run = triangle_count(g, threads=8)
+        run = SisaSession(g, threads=8).run("triangles")
         stats = run.context.scu.stats
         assert stats.pum_ops > 0
         assert stats.pnm_ops > 0
 
     def test_pure_sa_run_never_uses_pum_for_pairs(self):
         g = load("soc-fbMsg")
-        run = kclique_count(g, 4, threads=8, t=0.0, max_patterns=5000)
+        run = SisaSession(g, threads=8, t=0.0).run("kclique", k=4, max_patterns=5000)
         counts = run.output
         opcodes = run.context.opcode_counts()
         assert Opcode.INTERSECT_DB_DB not in opcodes
@@ -74,11 +72,10 @@ class TestPaperClaims:
 
         g = gnp_random_graph(60, 0.2, seed=12)
         pattern = star_pattern(3)
-        unlabeled = subgraph_isomorphism(g, pattern, threads=8)
-        labeled = subgraph_isomorphism(
-            g,
-            pattern,
-            threads=8,
+        unlabeled = SisaSession(g, threads=8).run("subgraph_iso", pattern=pattern)
+        labeled = SisaSession(g, threads=8).run(
+            "subgraph_iso",
+            pattern=pattern,
             target_labels=Labeling.random(g, 3, seed=0),
             pattern_labels=Labeling(pattern, [0, 1, 2, 0]),
         )
@@ -88,20 +85,20 @@ class TestPaperClaims:
     def test_smb_cache_helps_single_thread(self):
         """Section 9.2: disabling the SCU cache costs ~1.5x at T=1."""
         g = load("int-antCol4") if False else load("intD-antCol4")
-        with_cache = kclique_count(g, 4, threads=1, max_patterns=5000)
-        without = kclique_count(
-            g, 4, threads=1, max_patterns=5000, smb_enabled=False
+        with_cache = SisaSession(g, threads=1).run("kclique", k=4, max_patterns=5000)
+        without = SisaSession(g, threads=1, smb_enabled=False).run(
+            "kclique", k=4, max_patterns=5000
         )
         assert without.runtime_cycles > with_cache.runtime_cycles
 
     def test_dense_fraction_tracks_t(self):
         g = load("bio-CE-PG")
-        low = kclique_count(g, 4, threads=4, t=0.1, max_patterns=1000)
-        high = kclique_count(g, 4, threads=4, t=0.8, max_patterns=1000)
+        low = SisaSession(g, threads=4, t=0.1).run("kclique", k=4, max_patterns=1000)
+        high = SisaSession(g, threads=4, t=0.8).run("kclique", k=4, max_patterns=1000)
         assert low.output == high.output
 
     def test_mc_runs_on_dataset(self):
         g = load("int-HosWardProx")
-        run = maximal_cliques(g, threads=8, max_patterns=2000)
+        run = SisaSession(g, threads=8).run("maximal_cliques", max_patterns=2000)
         assert len(run.output) > 0
         assert run.runtime_cycles > 0

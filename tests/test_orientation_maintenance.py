@@ -46,8 +46,8 @@ from repro.streaming import (
     IncrementalTriangleCount,
     StreamingEngine,
 )
-from repro.algorithms.common import make_context
 from repro.graphs.digraph import orient_by_order
+from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
 
@@ -66,7 +66,7 @@ def _fresh_triangles(n, edges, threads=8):
 
 
 def _maintained(graph, **kwargs):
-    ctx = make_context(threads=8)
+    ctx = SisaContext(threads=8)
     dyn = DynamicSetGraph.from_graph(graph, ctx)
     seed = degeneracy_order(graph)
     oriented = SetGraph.from_digraph(orient_by_order(graph, seed.order), ctx)

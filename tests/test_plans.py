@@ -101,9 +101,6 @@ class TestCompile:
         plan = session.compile("kclique", k=3)
         assert not plan.fusable
         assert plan.describe() == ["run:kclique"]
-        # batch=False makes even triangles non-decomposable.
-        scalar = session.compile("triangles", batch=False)
-        assert not scalar.fusable
 
     def test_clustering_shares_the_triangle_subrequest_key(self):
         session = SisaSession(_graph(), ExecutionConfig(threads=8))

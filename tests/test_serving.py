@@ -76,21 +76,22 @@ class TestValidationEngine:
                 return None
 
     def test_custom_workload_rule_enforced_at_the_door(self):
-        @rule("kclique-forbid-unbatched", workloads=("kclique",), replace=True)
-        def _forbid(ctx):
-            if ctx.params.get("batch") is False:
-                return "kclique must run batched on this deployment"
+        from repro.serving.validation import _RULES
+
+        @rule("kclique-cap-k", workloads=("kclique",), replace=True)
+        def _cap(ctx):
+            if ctx.params.get("k", 0) > 4:
+                return "kclique is capped at k=4 on this deployment"
             return None
 
         session = SisaSession(_graph(), threads=2)
-        with pytest.raises(ValidationError, match="batched"):
-            session.compile("kclique", k=3, batch=False)
-        # Other workloads are untouched by the scoped rule.
-        session.compile(
-            "similarity_pairs",
-            pairs=np.array([[0, 1]], dtype=np.int64),
-            batch=False,
-        )
+        try:
+            with pytest.raises(ValidationError, match="capped"):
+                session.compile("kclique", k=5)
+            # Other workloads are untouched by the scoped rule.
+            session.compile("kclique_star", k=5)
+        finally:
+            del _RULES["kclique-cap-k"]
 
     def test_unknown_parameter_structured_details(self):
         session = SisaSession(_graph(), threads=2)
@@ -101,6 +102,9 @@ class TestValidationEngine:
         assert err.details["workload"] == "triangles"
         rules_hit = [v["rule"] for v in err.details["violations"]]
         assert "params-accepted" in rules_hit
+        # The unbatched instruction streams are gone, and so is the flag.
+        with pytest.raises(ValidationError, match="batch"):
+            session.run("triangles", batch=True)
 
     def test_missing_required_parameter(self):
         session = SisaSession(_graph(), threads=2)

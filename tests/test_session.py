@@ -4,9 +4,8 @@ Contracts under test:
 
 * ``ExecutionConfig`` is frozen and validates every knob,
 * the registry dispatches by name and rejects unknown workloads,
-* a *cold* session (and therefore every deprecated one-shot shim,
-  which is implemented on top of one) issues an instruction stream
-  identical to the legacy per-call path — same outputs, same simulated
+* a *cold* session issues an instruction stream identical to the
+  direct kernel call on a fresh context — same outputs, same simulated
   cycles, same per-opcode instruction counts,
 * a *warm* session returns outputs identical to a fresh per-call run
   while performing zero set re-registrations for count-only workloads
@@ -21,8 +20,6 @@ Contracts under test:
   context-manager lifetime) behave and cost as specified.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +28,7 @@ from hypothesis import strategies as st
 from repro.algorithms.bfs import bfs_on
 from repro.algorithms.bron_kerbosch import maximal_cliques_on
 from repro.algorithms.clustering import clusters_from_edges, jarvis_patrick_on
-from repro.algorithms.common import make_context, oriented_setgraph
+from repro.algorithms.common import oriented_setgraph
 from repro.algorithms.kclique import four_clique_count_on, kclique_count_on
 from repro.algorithms.similarity import similarity_on
 from repro.algorithms.subgraph_iso import star_pattern, subgraph_isomorphism_on
@@ -72,7 +69,6 @@ class TestExecutionConfig:
         assert config.t == 0.4
         assert config.budget == 0.1
         assert config.policy == "fraction"
-        assert config.batch is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -193,18 +189,18 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Cold-session / shim identity with the legacy per-call path
+# Cold-session identity with the direct kernel call
 # ---------------------------------------------------------------------------
 
 
 def _legacy_oriented(graph, *, threads=32, mode="sisa"):
-    ctx = make_context(threads=threads, mode=mode)
+    ctx = SisaContext(threads=threads, mode=mode)
     __, sg = oriented_setgraph(graph, ctx)
     return ctx, sg
 
 
 def _legacy_undirected(graph, *, threads=32, mode="sisa"):
-    ctx = make_context(threads=threads, mode=mode)
+    ctx = SisaContext(threads=threads, mode=mode)
     sg = SetGraph.from_graph(graph, ctx, t=0.4, budget=0.1)
     return ctx, sg
 
@@ -215,7 +211,7 @@ def _legacy_runs():
 
     def legacy_triangles(graph):
         ctx, sg = _legacy_oriented(graph)
-        return triangle_count_oriented(sg, ctx, batch=True), ctx
+        return triangle_count_oriented(sg, ctx), ctx
 
     def legacy_kclique(graph):
         ctx, sg = _legacy_oriented(graph)
@@ -295,49 +291,6 @@ class TestColdSessionIdentity:
         assert session.ctx.report().runtime_cycles == result.runtime_cycles
         assert not result.warm
 
-    @pytest.mark.parametrize("mode", ["sisa", "cpu-set"])
-    def test_shims_equal_cold_session(self, mode):
-        """The deprecated one-shot entry points are cycle-identical to a
-        cold session run (they are implemented on top of one)."""
-        graph = _graph()
-        from repro.algorithms import kclique_count
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = kclique_count(graph, 4, threads=16, mode=mode)
-        result = SisaSession(
-            graph, ExecutionConfig(threads=16, mode=mode)
-        ).run("kclique", k=4)
-        assert shim.output == result.output
-        assert shim.runtime_cycles == result.runtime_cycles
-        assert shim.context.instruction_count == result.instructions
-
-    def test_shims_warn_deprecation(self):
-        from repro.algorithms import triangle_count
-        from repro.algorithms.common import reset_one_shot_warnings
-
-        reset_one_shot_warnings()
-        with pytest.warns(DeprecationWarning, match="SisaSession") as records:
-            triangle_count(_graph(), threads=4)
-        # The notice points at this test (the shim's caller), not at
-        # the shim module.
-        assert any(r.filename == __file__ for r in records)
-
-    def test_shim_warning_deduplicated_per_entry_point(self):
-        from repro.algorithms import triangle_count
-        from repro.algorithms.common import reset_one_shot_warnings
-
-        reset_one_shot_warnings()
-        graph = _graph()
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            triangle_count(graph, threads=4)
-            triangle_count(graph, threads=4)  # same entry point: silent
-        assert (
-            sum(issubclass(r.category, DeprecationWarning) for r in records)
-            == 1
-        )
-
     def test_run_workload_convenience(self):
         result = run_workload(_graph(), "triangles", config=ExecutionConfig(threads=8))
         assert isinstance(result, RunResult)
@@ -366,9 +319,9 @@ class TestWarmReuse:
         warm = session.run("triangles")
 
         # Legacy reconstruction of the per-call path.
-        ctx = make_context(threads=8)
+        ctx = SisaContext(threads=8)
         __, sg = oriented_setgraph(graph, ctx)
-        legacy_count = triangle_count_oriented(sg, ctx, batch=True)
+        legacy_count = triangle_count_oriented(sg, ctx)
 
         assert cold.output == legacy_count
         assert cold.runtime_cycles == ctx.runtime_cycles

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.common import make_context, oriented_setgraph
+from repro.algorithms.common import oriented_setgraph
 from repro.algorithms.triangles import triangle_count_oriented
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import gnp_random_graph
@@ -31,6 +31,7 @@ from repro.graphs.streams import (
     insert_only_stream,
     sliding_window_stream,
 )
+from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 from repro.sets.base import Representation
 from repro.streaming import (
@@ -60,7 +61,7 @@ batch_strategy = st.lists(
 
 def _rebuilt(dyn, mode="sisa", t=0.4):
     """A SetGraph rebuilt from the dynamic graph's final edge list."""
-    ctx = make_context(threads=4, mode=mode)
+    ctx = SisaContext(threads=4, mode=mode)
     graph = CSRGraph.from_edges(dyn.num_vertices, dyn.edge_array())
     return ctx, SetGraph.from_graph(graph, ctx, t=t)
 
@@ -70,7 +71,7 @@ class TestRebuildEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_interleavings_match_rebuilt_setgraph(self, script):
         for mode in ("sisa", "cpu-set"):
-            ctx = make_context(threads=4, mode=mode)
+            ctx = SisaContext(threads=4, mode=mode)
             dyn = DynamicSetGraph.from_graph(
                 gnp_random_graph(N, 0.2, seed=3), ctx
             )
@@ -103,7 +104,7 @@ class TestRebuildEquivalence:
 
     def test_oriented_algorithms_see_the_final_state(self):
         graph = gnp_random_graph(40, 0.15, seed=8)
-        ctx = make_context(threads=4)
+        ctx = SisaContext(threads=4)
         dyn = DynamicSetGraph.from_graph(graph, ctx)
         rng = np.random.default_rng(2)
         edges = graph.edge_array()
@@ -112,7 +113,7 @@ class TestRebuildEquivalence:
         dyn.apply_batch(EdgeBatch(insertions=add, deletions=drop))
 
         final = CSRGraph.from_edges(dyn.num_vertices, dyn.edge_array())
-        ref_ctx = make_context(threads=4)
+        ref_ctx = SisaContext(threads=4)
         __, ref_sg = oriented_setgraph(final, ref_ctx)
         expected = triangle_count_oriented(ref_sg, ref_ctx)
         assert IncrementalTriangleCount(dyn).count == expected
@@ -131,7 +132,7 @@ class TestMaintainers:
     @pytest.mark.parametrize("measure", ["jaccard", "adamic_adar"])
     def test_incremental_equals_full_recompute(self, make_stream, measure):
         stream = make_stream(gnp_random_graph(50, 0.12, seed=6))
-        ctx = make_context(threads=8)
+        ctx = SisaContext(threads=8)
         dyn = DynamicSetGraph.from_graph(stream.initial_graph(), ctx)
         pairs = np.asarray(
             [[u, v] for u in range(0, 18) for v in range(u + 1, 18)],
@@ -160,7 +161,7 @@ class TestMaintainers:
         assert np.array_equal(dyn.edge_array(), stream.final_edges())
 
     def test_step_reports_effective_updates(self):
-        ctx = make_context(threads=2)
+        ctx = SisaContext(threads=2)
         dyn = DynamicSetGraph.from_graph(
             CSRGraph.from_edges(6, [(0, 1), (1, 2)]), ctx
         )
@@ -179,7 +180,7 @@ class TestMaintainers:
 
 class TestSnapshots:
     def test_snapshot_is_frozen_and_consistent(self):
-        ctx = make_context(threads=4)
+        ctx = SisaContext(threads=4)
         graph = gnp_random_graph(30, 0.2, seed=12)
         dyn = DynamicSetGraph.from_graph(graph, ctx)
         snap = dyn.snapshot()
@@ -201,7 +202,7 @@ class TestSnapshots:
         snap.release()  # idempotent
 
     def test_snapshot_charges_metadata_only(self):
-        ctx = make_context(threads=1)
+        ctx = SisaContext(threads=1)
         dyn = DynamicSetGraph.from_graph(gnp_random_graph(20, 0.3, seed=1), ctx)
         before = ctx.runtime_cycles
         dyn.snapshot()
@@ -212,7 +213,7 @@ class TestSnapshots:
 class TestRepresentationRedecision:
     def test_sa_converts_to_db_when_dense(self):
         # Universe 64, W=32: the SA->DB threshold is degree >= 2.
-        ctx = make_context(threads=1)
+        ctx = SisaContext(threads=1)
         dyn = DynamicSetGraph.from_graph(
             CSRGraph.from_edges(64, [(0, 1)]), ctx, t=0.0
         )
@@ -245,7 +246,7 @@ class TestRepresentationRedecision:
         )
 
     def test_cpu_set_mode_never_converts(self):
-        ctx = make_context(threads=1, mode="cpu-set")
+        ctx = SisaContext(threads=1, mode="cpu-set")
         dyn = DynamicSetGraph.from_graph(
             CSRGraph.from_edges(64, [(0, 1)]), ctx
         )

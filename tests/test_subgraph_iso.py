@@ -3,10 +3,11 @@
 import networkx as nx
 import pytest
 
-from repro.algorithms.subgraph_iso import star_pattern, subgraph_isomorphism
+from repro.algorithms.subgraph_iso import star_pattern
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import complete_graph, gnp_random_graph, path_graph
 from repro.graphs.labels import Labeling
+from repro.session import SisaSession
 
 from conftest import to_networkx
 
@@ -24,7 +25,7 @@ class TestUnlabeled:
         g = gnp_random_graph(18, 0.35, seed=1)
         triangle = complete_graph(3)
         expected = nx_monomorphism_count(g, triangle)
-        run = subgraph_isomorphism(g, triangle, threads=2, mode=mode)
+        run = SisaSession(g, threads=2, mode=mode).run("subgraph_iso", pattern=triangle)
         assert run.output == expected
 
     def test_star_pattern_count(self):
@@ -35,23 +36,27 @@ class TestUnlabeled:
         for v in range(g.num_vertices):
             d = g.degree(v)
             expected += d * (d - 1)
-        run = subgraph_isomorphism(g, star_pattern(k), threads=2)
+        run = SisaSession(g, threads=2).run("subgraph_iso", pattern=star_pattern(k))
         assert run.output == expected
 
     def test_path_pattern_matches_networkx(self):
         g = gnp_random_graph(15, 0.3, seed=3)
         pattern = path_graph(4)
         expected = nx_monomorphism_count(g, pattern)
-        run = subgraph_isomorphism(g, pattern, threads=2)
+        run = SisaSession(g, threads=2).run("subgraph_iso", pattern=pattern)
         assert run.output == expected
 
     def test_no_match_when_pattern_too_dense(self):
-        run = subgraph_isomorphism(path_graph(6), complete_graph(3), threads=1)
+        run = SisaSession(path_graph(6), threads=1).run(
+            "subgraph_iso", pattern=complete_graph(3)
+        )
         assert run.output == 0
 
     def test_collect_returns_mappings(self):
         g = complete_graph(4)
-        run = subgraph_isomorphism(g, complete_graph(3), threads=1, collect=True)
+        run = SisaSession(g, threads=1).run(
+            "subgraph_iso", pattern=complete_graph(3), collect=True
+        )
         assert len(run.output) == 24  # 4P3 ordered embeddings
         for mapping in run.output:
             values = list(mapping.values())
@@ -59,8 +64,8 @@ class TestUnlabeled:
 
     def test_cutoff(self):
         g = complete_graph(8)
-        run = subgraph_isomorphism(
-            g, complete_graph(3), threads=1, max_matches=10
+        run = SisaSession(g, threads=1).run(
+            "subgraph_iso", pattern=complete_graph(3), max_matches=10
         )
         assert run.output == 10
 
@@ -74,13 +79,14 @@ class TestLabeled:
     def test_labels_restrict_matches(self):
         g = complete_graph(6)
         pattern = complete_graph(3)
-        unlabeled = subgraph_isomorphism(g, pattern, threads=1).output
+        unlabeled = SisaSession(g, threads=1).run(
+            "subgraph_iso", pattern=pattern
+        ).output
         target_labels = Labeling(g, [0, 0, 0, 1, 1, 1])
         pattern_labels = Labeling(pattern, [0, 0, 0])
-        labeled = subgraph_isomorphism(
-            g,
-            pattern,
-            threads=1,
+        labeled = SisaSession(g, threads=1).run(
+            "subgraph_iso",
+            pattern=pattern,
             target_labels=target_labels,
             pattern_labels=pattern_labels,
         ).output
@@ -92,10 +98,9 @@ class TestLabeled:
         pattern = complete_graph(3)
         target_labels = Labeling.random(g, 2, seed=7)
         pattern_labels = Labeling(pattern, [0, 1, 0])
-        run = subgraph_isomorphism(
-            g,
-            pattern,
-            threads=1,
+        run = SisaSession(g, threads=1).run(
+            "subgraph_iso",
+            pattern=pattern,
             target_labels=target_labels,
             pattern_labels=pattern_labels,
         )
@@ -124,11 +129,12 @@ class TestLabeled:
         faster despite extra label checks."""
         g = gnp_random_graph(40, 0.3, seed=5)
         pattern = star_pattern(3)
-        unlabeled = subgraph_isomorphism(g, pattern, threads=4, max_matches=3000)
-        labeled = subgraph_isomorphism(
-            g,
-            pattern,
-            threads=4,
+        unlabeled = SisaSession(g, threads=4).run(
+            "subgraph_iso", pattern=pattern, max_matches=3000
+        )
+        labeled = SisaSession(g, threads=4).run(
+            "subgraph_iso",
+            pattern=pattern,
             max_matches=3000,
             target_labels=Labeling.random(g, 3, seed=1),
             pattern_labels=Labeling(pattern, [0, 1, 2, 0]),
@@ -142,10 +148,9 @@ class TestLabeled:
             g, [0, 0, 0], edge_labels={(0, 1): 1, (1, 2): 2, (0, 2): 1}
         )
         pattern_labels = Labeling(pattern, [0, 0], edge_labels={(0, 1): 2})
-        run = subgraph_isomorphism(
-            g,
-            pattern,
-            threads=1,
+        run = SisaSession(g, threads=1).run(
+            "subgraph_iso",
+            pattern=pattern,
             target_labels=target_labels,
             pattern_labels=pattern_labels,
         )

@@ -10,8 +10,18 @@ The set-based and SISA variants run through the session API
 (`benchmarks.common.session_cell`): one cold `SisaSession` per cell,
 which issues exactly the instruction stream the historical one-shot
 entry points issued.
+
+Besides the text render, the bench writes `BENCH_fig6_main.json`: every
+cell's exact modeled cycles and output digest, and nothing that varies
+between runs (no wall times).  The record is committed, so any change
+to a modeled cycle shows up as a diff of that file; CI runs the bench
+and fails on `git diff --exit-code` of it.
 """
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.algorithms.subgraph_iso import star_pattern
@@ -27,7 +37,7 @@ from repro.bench.harness import ResultTable, run_three_variants
 from repro.datasets import load
 from repro.session import ExecutionConfig, SisaSession
 
-from common import CUTOFFS, FIG6_GRAPHS, emit, session_cell
+from common import CUTOFFS, FIG6_GRAPHS, emit, emit_json, session_cell
 
 THREADS = 32
 
@@ -151,6 +161,37 @@ def _fill_table() -> ResultTable:
     return table
 
 
+def _jsonable(value):
+    """A digest as JSON-native data (numpy scalars as Python numbers,
+    tuples as lists), so the record reads the same under every NumPy."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def _record(table: ResultTable) -> dict:
+    """Every cell's exact modeled cycles and the SHA-1 of its output
+    digest (as compact JSON), keyed ``problem/graph/variant`` in table
+    order."""
+    return {
+        f"{cell.problem}/{cell.graph}/{cell.variant}": {
+            "cycles": cell.runtime_cycles,
+            "digest": hashlib.sha1(
+                json.dumps(
+                    _jsonable(cell.output_digest), separators=(",", ":")
+                ).encode()
+            ).hexdigest(),
+        }
+        for cell in table.cells
+    }
+
+
 def _pair(run, digest=None):
     output = run.output
     if digest is not None:
@@ -161,6 +202,7 @@ def _pair(run, digest=None):
 def test_fig6_main(benchmark):
     table = _fill_table()
     emit("fig6_main", table.print_all)
+    emit_json("fig6_main", _record(table))
     # The headline shape: SISA is the fastest variant on average for
     # every pattern-matching problem.
     for problem in table.problems():

@@ -9,13 +9,14 @@ degeneracy orientation — on each call.
 
 This benchmark compares, per workload:
 
-* ``cold``  — a fresh one-shot session per call (exactly what the
-  deprecated ``*_count(graph, ...)`` shims do), timed on its *second*
-  call so interpreter warm-up is out of the picture;
+* ``cold``  — a fresh :class:`SisaSession` per call, so every call
+  pays context construction, neighborhood-set registration and (for
+  triangles) degeneracy orientation; of two such calls the second is
+  timed, so interpreter warm-up is out of the picture;
 * ``warm``  — the second run on a shared :class:`SisaSession`.
 
 Acceptance floor (enforced here and in CI): the warm second run of the
-watchlist-scoring workload is >= 2x faster than the cold one-shot call
+watchlist-scoring workload is >= 2x faster than the cold-session call
 — and performs **zero** set re-registrations (asserted via the SM
 registration counter carried on :class:`RunResult`).  Outputs and
 first-run simulated cycles are asserted identical between the two
@@ -73,7 +74,7 @@ def _measure(graph):
         cold_best = warm_best = float("inf")
         cold_last = warm_first = warm_second = None
         for __ in range(REPEATS):
-            # Two cold one-shot calls; time the second (steady state).
+            # Two cold-session calls; time the second (steady state).
             run(SisaSession(graph, config))
             gc.collect()
             start = time.perf_counter()
@@ -92,8 +93,8 @@ def _measure(graph):
         assert np.array_equal(
             np.asarray(cold_last.output), np.asarray(warm_second.output)
         ), name
-        # A cold session's first run is cycle-identical to the one-shot
-        # path; the warm run re-registers nothing.
+        # A cold session's run is cycle-identical to a shared session's
+        # first run; the warm run re-registers nothing.
         assert cold_last.runtime_cycles == warm_first.runtime_cycles, name
         assert warm_second.registrations == 0, name
         assert warm_second.warm and not warm_first.warm
@@ -106,7 +107,7 @@ def _measure(graph):
 
 
 def _render(graph, rows):
-    print("== Session reuse: warm second run vs cold one-shot call ==")
+    print("== Session reuse: warm second run vs cold-session call ==")
     print(
         f"chung-lu n={graph.num_vertices} m={graph.edge_array().shape[0]}"
         f" watchlist={PAIRS} pairs, threads=32"

@@ -15,13 +15,8 @@ from repro.runtime.setgraph import SetGraph
 def triangle_count_oriented(digraph_sg: SetGraph, ctx: SisaContext) -> int:
     """Count triangles on an already-oriented SetGraph.
 
-    The per-edge ``|N+(u) ∩ N+(v)|`` counts of one vertex's out-
-    neighborhood are issued as one batched count burst.
+    One count burst ``|N+(u) ∩ N+(v)|, v ∈ N+(u)`` per vertex ``u``, run
+    as one fan-out program
+    (:meth:`~repro.runtime.context.SisaContext.fanout_counts`).
     """
-    total = 0
-    for u in range(digraph_sg.num_vertices):
-        ctx.begin_task()
-        nbrs = ctx.elements(digraph_sg.neighborhood(u))
-        if nbrs.size:
-            total += int(digraph_sg.neighborhood_counts(u, nbrs).sum())
-    return total
+    return int(ctx.fanout_counts(digraph_sg.set_ids).sum())

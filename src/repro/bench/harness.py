@@ -22,8 +22,12 @@ class Cell:
     problem: str
     graph: str
     variant: str
-    runtime_mcycles: float
+    runtime_cycles: float
     output_digest: Any = None
+
+    @property
+    def runtime_mcycles(self) -> float:
+        return self.runtime_cycles / 1e6
 
 
 @dataclass
@@ -41,9 +45,7 @@ class ResultTable:
         runtime_cycles: float,
         output_digest: Any = None,
     ) -> None:
-        self.cells.append(
-            Cell(problem, graph, variant, runtime_cycles / 1e6, output_digest)
-        )
+        self.cells.append(Cell(problem, graph, variant, runtime_cycles, output_digest))
 
     def runtimes(self, problem: str, variant: str) -> list[float]:
         ordered_graphs = self.graphs_for(problem)

@@ -48,6 +48,37 @@ class LruCache:
             self._entries.popitem(last=False)
         return False
 
+    def access_many(self, keys) -> list[bool]:
+        """Touch ``keys`` in order; returns one hit flag per access.
+
+        Exactly equivalent to calling :meth:`access` on each key in
+        turn (same LRU order, evictions and hit/miss counters), in one
+        call: an instruction burst's metadata lookups replay as one
+        tight loop."""
+        stats = self.stats
+        if self.capacity == 0:
+            stats.misses += len(keys)
+            return [False] * len(keys)
+        entries = self._entries
+        capacity = self.capacity
+        move = entries.move_to_end
+        evict = entries.popitem
+        hits: list[bool] = []
+        flag = hits.append
+        for key in keys:
+            if key in entries:
+                move(key)
+                flag(True)
+            else:
+                entries[key] = None
+                if len(entries) > capacity:
+                    evict(last=False)
+                flag(False)
+        n_hits = hits.count(True)
+        stats.hits += n_hits
+        stats.misses += len(hits) - n_hits
+        return hits
+
     def invalidate(self, key: int) -> None:
         self._entries.pop(key, None)
 

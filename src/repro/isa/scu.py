@@ -17,8 +17,11 @@ memory acceleration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from repro.errors import IsaError
+import numpy as np
+
+from repro.errors import IsaError, SetError
 from repro.hw.cache import LruCache
 from repro.hw.config import CpuConfig, HardwareConfig
 from repro.hw.cost import Cost
@@ -122,6 +125,113 @@ class BatchDispatch:
 
     def __len__(self) -> int:
         return len(self.opcodes)
+
+
+_COUNTERS = ("pum_ops", "pnm_ops", "host_ops", "merge_picks", "gallop_picks")
+_counters = attrgetter(*_COUNTERS)
+
+
+class OperandTable:
+    """The operands of one fan-out program, and the SCU's decisions
+    for it.
+
+    The program's instructions address operands by row: row ``r`` is
+    ``metas[r]``, with its set id, cardinality and representation in
+    aligned arrays, so the operand shapes of a whole chunk of
+    instructions are array lookups.  One table serves one count-form
+    ``op`` over operands of one universe.
+
+    The decision columns grow by one entry per distinct operand shape
+    the program has dispatched, in order of first occurrence: the
+    variant and model cost :meth:`Scu._decide` returned for it, and the
+    per-op stats increments it implies.
+    """
+
+    def __init__(self, op: SetOp, metas: list[SetMeta]):
+        n = len(metas)
+        if len({m.universe for m in metas}) > 1:
+            raise SetError("fan-out operands span several universes")
+        self.op = op
+        self.metas = metas
+        self.ids = np.fromiter((m.set_id for m in metas), np.int64, n)
+        self.cards = np.fromiter((m.cardinality for m in metas), np.int64, n)
+        self.dense = np.fromiter((m.is_dense for m in metas), bool, n)
+        self.unsorted = np.fromiter(
+            (m.representation is Representation.SPARSE_UNSORTED for m in metas),
+            bool,
+            n,
+        )
+        self.width = int(self.cards.max()) + 1 if n else 1
+        # Decision columns, one entry per shape, and the shape codes
+        # seen so far (sorted) with their entries.
+        self.opcodes: list[Opcode] = []
+        self.backends: list[str] = []
+        self.variants: list[str] = []
+        self.compute: list[float] = []
+        self.memory: list[float] = []
+        self.latency: list[float] = []
+        self.increments: list[int] = []  # len(_COUNTERS) per shape
+        self.known = np.zeros(0, dtype=np.int64)
+        self.known_entry = np.zeros(0, dtype=np.int64)
+        self._columns: tuple[np.ndarray, ...] = ()
+
+    def shape_codes(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        """One integer per op naming its operand shape: exactly the
+        fields of the :meth:`Scu._decide` memo key that vary within a
+        table (representations, cardinalities, whether the larger
+        sparse operand is unsorted)."""
+        ca = self.cards[a_rows]
+        cb = self.cards[b_rows]
+        da = self.dense[a_rows]
+        db = self.dense[b_rows]
+        bigger_unsorted = np.where(
+            ca >= cb, self.unsorted[a_rows], self.unsorted[b_rows]
+        )
+        sparse = ((ca * self.width + cb) * 2 + bigger_unsorted) * 4
+        mixed = (np.where(da, cb, ca) * 2 + da) * 4 + 1
+        return np.where(da & db, 2, np.where(da | db, mixed, sparse))
+
+    def add(self, decision, increments: list[int]) -> int:
+        """Append one shape's decision; returns its entry."""
+        opcode, backend, variant, cost = decision
+        self.opcodes.append(opcode)
+        self.backends.append(backend)
+        self.variants.append(variant)
+        self.compute.append(cost.compute_cycles)
+        self.memory.append(cost.memory_bytes)
+        self.latency.append(cost.latency_cycles)
+        self.increments.extend(increments)
+        return len(self.opcodes) - 1
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The decision columns as arrays: per-shape model compute,
+        memory and latency, and the ``(shapes, 5)`` counter increments
+        (rebuilt only when shapes were added)."""
+        if len(self._columns) == 0 or len(self._columns[0]) != len(self.compute):
+            self._columns = (
+                np.asarray(self.compute, dtype=np.float64),
+                np.asarray(self.memory, dtype=np.float64),
+                np.asarray(self.latency, dtype=np.float64),
+                np.asarray(self.increments, dtype=np.int64).reshape(
+                    -1, len(_COUNTERS)
+                ),
+            )
+        return self._columns
+
+
+@dataclass
+class FanoutDispatch:
+    """Outcome of one SCU dispatch over a chunk of fan-out instructions.
+
+    Per-op cost components are Python float lists in instruction order
+    (the engine accumulates them exactly like :class:`BatchDispatch`'s);
+    ``shape[i]`` is op ``i``'s entry in the table's decision columns.
+    """
+
+    compute: list[float]
+    memory: list[float]
+    latency: list[float]
+    shape: np.ndarray
 
 
 class Scu:
@@ -338,24 +448,18 @@ class Scu:
         memoized per operand shape.
         """
         hw = self.hw
-        smb = self.smb
-        access = smb.access
         stats = self.stats
         by_opcode = stats.by_opcode
         decide = self._decide
-        a_id = a.set_id
         host = self.host_fallback
         disp_c = hw.scu_dispatch_cycles
         hit_c = hw.sm_hit_cycles
         miss_c = hw.pnm_random_access_cycles
         host_c = self.cpu.config.set_op_latency_cycles if host else 0.0
-        # After the first op touched A, the A lookup is a guaranteed SMB
-        # hit: A is at most second-most-recent, so no later insert can
-        # have evicted it (holds for any capacity >= 2).
-        a_resident = False
-        fast_a = smb.capacity >= 2
-        smb_entries = smb._entries
-        smb_stats = smb.stats
+        # The burst's SM lookups, in instruction order: A, B_1, A, B_2, ...
+        keys = [a.set_id] * (2 * len(bs))
+        keys[1::2] = [b.set_id for b in bs]
+        hits = self.smb.access_many(keys)
         opcodes: list[Opcode] = []
         backends: list[str] = []
         variants: list[str] = []
@@ -367,17 +471,11 @@ class Scu:
             # order as `_metadata_cost(a_id, b_id)` + host latency.
             comp = disp_c
             lat = 0.0
-            if a_resident:
-                smb_entries.move_to_end(a_id)
-                smb_stats.hits += 1
+            if hits[2 * i]:
                 comp += hit_c
-            elif access(a_id):
-                comp += hit_c
-                a_resident = fast_a
             else:
                 lat += miss_c
-                a_resident = fast_a
-            if access(b.set_id):
+            if hits[2 * i + 1]:
                 comp += hit_c
             else:
                 lat += miss_c
@@ -398,6 +496,110 @@ class Scu:
         if self.obs is not None:
             self.obs.dispatch_batch(opcodes, backends)
         return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
+
+    def dispatch_count_fanout(
+        self, table: OperandTable, a_rows: np.ndarray, b_rows: np.ndarray
+    ) -> FanoutDispatch:
+        """Dispatch the count-form ops ``table[a_rows[i]] op
+        table[b_rows[i]]`` (one chunk of a fan-out program) at once.
+
+        The modeled outcome equals :meth:`dispatch_binary_batch` over
+        the same ops, burst by burst:
+
+        * the SMB replays the access sequence ``a_0, b_0, a_1, b_1, ...``
+          in one :meth:`~repro.hw.cache.LruCache.access_many` call;
+        * a shape new to the table is decided through the :meth:`_decide`
+          memo, in order of first occurrence, so the memo fills in the
+          same order; known shapes reuse the table's decision;
+        * per-op compute, memory and latency are composed with the same
+          float operations in the same order;
+        * the stats are updated once per chunk, each shape's counter
+          increments times its multiplicity, and new ``by_opcode`` keys
+          appear in order of first occurrence.
+        """
+        k = int(a_rows.size)
+        stats = self.stats
+        hw = self.hw
+        keys = np.empty(2 * k, dtype=np.int64)
+        keys[0::2] = table.ids[a_rows]
+        keys[1::2] = table.ids[b_rows]
+        hits = np.asarray(self.smb.access_many(keys.tolist()), dtype=bool)
+        codes, first, inverse = np.unique(
+            table.shape_codes(a_rows, b_rows),
+            return_index=True,
+            return_inverse=True,
+        )
+        # Known shapes resolve by one search; new ones are decided in
+        # order of first occurrence.
+        pos = np.searchsorted(table.known, codes)
+        found = pos < table.known.size
+        found[found] = table.known[pos[found]] == codes[found]
+        local = np.zeros(codes.size, dtype=np.int64)
+        local[found] = table.known_entry[pos[found]]
+        base = _counters(stats)
+        new = np.flatnonzero(~found)
+        if new.size:
+            new = new[np.argsort(first[new], kind="stable")]
+            for j in new.tolist():
+                f = int(first[j])
+                before = _counters(stats)
+                decision = self._decide(
+                    table.op,
+                    table.metas[a_rows[f]],
+                    table.metas[b_rows[f]],
+                    0,
+                    True,
+                )
+                local[j] = table.add(
+                    decision,
+                    [x - b for x, b in zip(_counters(stats), before)],
+                )
+            merged = np.concatenate([table.known, codes[new]])
+            order = np.argsort(merged, kind="stable")
+            table.known = merged[order]
+            table.known_entry = np.concatenate(
+                [table.known_entry, local[new]]
+            )[order]
+        shape = local[inverse.reshape(-1)]
+        # Counters: the first-time decisions above counted one op per
+        # new shape; recount the whole chunk by multiplicity instead.
+        compute, memory, latency, increments = table.columns()
+        mult = np.bincount(shape, minlength=len(table.opcodes))
+        for c, b, total in zip(_COUNTERS, base, (mult @ increments).tolist()):
+            setattr(stats, c, b + total)
+        stats.instructions += k
+        # Shape entries are numbered in order of first occurrence, so
+        # ascending entries add new opcodes in that order too.
+        by_opcode = stats.by_opcode
+        dispatched: dict[tuple[Opcode, str], int] = {}
+        for s in np.flatnonzero(mult).tolist():
+            m = int(mult[s])
+            opcode = table.opcodes[s]
+            by_opcode[opcode] = by_opcode.get(opcode, 0) + m
+            pair = (opcode, table.backends[s])
+            dispatched[pair] = dispatched.get(pair, 0) + m
+        # Metadata phase plus model cost, float for float as in
+        # dispatch_binary_batch (adding an exact 0.0 where a branch
+        # there adds nothing).
+        hit_a = hits[0::2]
+        hit_b = hits[1::2]
+        hit_c = hw.sm_hit_cycles
+        miss_c = hw.pnm_random_access_cycles
+        comp = np.full(k, hw.scu_dispatch_cycles, dtype=np.float64)
+        comp += hit_a * hit_c
+        comp += hit_b * hit_c
+        comp += compute[shape]
+        lat = np.zeros(k, dtype=np.float64)
+        lat += ~hit_a * miss_c
+        lat += ~hit_b * miss_c
+        if self.host_fallback:
+            lat += self.cpu.config.set_op_latency_cycles
+        lat += latency[shape]
+        if self.obs is not None:
+            self.obs.dispatch_counts(dispatched)
+        return FanoutDispatch(
+            comp.tolist(), memory[shape].tolist(), lat.tolist(), shape
+        )
 
     def dispatch_binary_fused(
         self,

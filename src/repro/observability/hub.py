@@ -154,8 +154,13 @@ class Observability:
         self._dispatch.inc((opcode.name, backend))
 
     def dispatch_batch(self, opcodes, backends) -> None:
+        self.dispatch_counts(Counter(zip(opcodes, backends)))
+
+    def dispatch_counts(self, counts) -> None:
+        """``{(opcode, backend): n}`` dispatches at once, keys in order
+        of first occurrence."""
         inc = self._dispatch.inc
-        for (opcode, backend), n in Counter(zip(opcodes, backends)).items():
+        for (opcode, backend), n in counts.items():
             inc((opcode.name, backend), n)
 
     def fused_macro(self) -> None:
@@ -176,6 +181,11 @@ class Observability:
         ``size_a=None`` skips the probe-operand observation (bursts
         with no shared probe operand, e.g. element updates)."""
         self.spans.end(span, cycles=cycles)
+        self.burst(cycles, size_a, sizes_b)
+
+    def burst(self, cycles: float, size_a, sizes_b) -> None:
+        """One instruction burst's observations without its span (a
+        fan-out chunk's kernel span covers several bursts)."""
         self._burst_cycles.observe((self.tenant, self.workload), cycles)
         hist = self.set_sizes.get(self.tenant)
         if hist is None:

@@ -219,6 +219,61 @@ def difference_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexS
     return results
 
 
+class FanoutRows:
+    """The element rows of a neighbourhood fan-out, as one CSR.
+
+    Row ``r`` holds the sorted elements of ``values[r]`` (its
+    ``to_array()``, the set iterator's order): ``col[indptr[r]:
+    indptr[r + 1]]``.  ``keys`` holds ``r * universe + w`` for every
+    element ``w`` of row ``r``; rows are sorted and consecutive, so the
+    keys are globally sorted and one binary search answers "is ``w`` in
+    row ``r``" for any number of (row, element) pairs at once.
+    """
+
+    def __init__(self, values: Sequence[VertexSet], universe: int):
+        arrays = [v.to_array() for v in values]
+        n = len(arrays)
+        self.cards = np.fromiter((a.size for a in arrays), np.int64, n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.cards, out=self.indptr[1:])
+        self.col = (
+            np.concatenate(arrays) if n else np.zeros(0, dtype=np.int64)
+        )
+        self.universe = universe
+        self.keys = np.repeat(
+            np.arange(n, dtype=np.int64) * universe, self.cards
+        ) + self.col
+
+    def intersect_counts(
+        self, a_rows: np.ndarray, b_rows: np.ndarray
+    ) -> np.ndarray:
+        """``|row a_i ∩ row b_i|`` for every pair, in one flat probe:
+        the smaller row's elements are searched among the larger row's
+        keys.  Equals :func:`intersect_counts` pair by pair."""
+        cards = self.cards
+        ca = cards[a_rows]
+        cb = cards[b_rows]
+        swap = ca > cb
+        small = np.where(swap, b_rows, a_rows)
+        big = np.where(swap, a_rows, b_rows)
+        lens = np.minimum(ca, cb)
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        total = int(ends[-1]) if ends.size else 0
+        if total == 0:
+            return np.zeros(a_rows.size, dtype=np.int64)
+        pos = np.arange(total, dtype=np.int64)
+        pos += np.repeat(self.indptr[small] - starts, lens)
+        probe = self.col[pos]
+        probe += np.repeat(big * self.universe, lens)
+        keys = self.keys
+        idx = np.searchsorted(keys, probe)
+        np.minimum(idx, keys.size - 1, out=idx)
+        hit = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(keys[idx] == probe, out=hit[1:])
+        return hit[ends] - hit[starts]
+
+
 def derive_counts(
     op_kind: str,
     a_cardinality: int,

@@ -33,7 +33,7 @@ from repro.hw.cost import Cost
 from repro.hw.engine import EngineMark, EngineReport, ExecutionEngine
 from repro.isa.metadata import SetMetadataTable
 from repro.isa.opcodes import Opcode, SetOp
-from repro.isa.scu import DispatchStats, Scu
+from repro.isa.scu import DispatchStats, OperandTable, Scu
 from repro.runtime import batch as batchmod
 from repro.runtime.trace import Trace, TraceEvent
 from repro.sets import kernels
@@ -42,6 +42,11 @@ from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
 
 MODES = ("sisa", "cpu-set")
+
+#: Instructions per chunk of :meth:`SisaContext.fanout_counts`.  A chunk
+#: ends at the first task boundary within this budget, so its transient
+#: arrays and per-op cost lists stay small whatever the graph's size.
+FANOUT_CHUNK_OPS = 1024
 
 
 @dataclass(frozen=True)
@@ -522,6 +527,107 @@ class SisaContext:
                 )
         return counts
 
+    def fanout_counts(self, set_ids) -> np.ndarray:
+        """Per-vertex ``Σ_{u ∈ N(v)} |N(v) ∩ N(u)|`` over a whole
+        neighbourhood fan-out, run as one chunked array program.
+
+        ``set_ids[v]`` names ``N(v)``, whose elements are vertices.  The
+        instruction stream, and with it every modeled cycle, stat, SMB
+        entry and trace event, is exactly that of the per-burst loop::
+
+            for v in range(len(set_ids)):
+                begin_task()
+                nbrs = elements(set_ids[v])
+                if nbrs.size:
+                    intersect_count_batch(set_ids[v], [set_ids[u] for u in nbrs])
+
+        Only host work is amortized.  Each chunk of consecutive tasks
+        (about :data:`FANOUT_CHUNK_OPS` instructions) computes its counts
+        with one flat probe (:class:`~repro.runtime.batch.FanoutRows`)
+        and its SMB trajectory, variant decisions and per-op costs with
+        one :meth:`~repro.isa.scu.Scu.dispatch_count_fanout`; the task
+        loop then places each task, charges its scan and its ops, and
+        feeds each burst's observations.  One kernel span covers a chunk.
+        """
+        n = len(set_ids)
+        sums = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return sums
+        sm = self.sm
+        table = OperandTable(SetOp.INTERSECT_COUNT, sm.metas_of(set_ids))
+        rows = batchmod.FanoutRows(sm.values_of(set_ids), table.metas[0].universe)
+        indptr = rows.indptr
+        v0 = 0
+        while v0 < n:
+            # The chunk ends at the last task boundary within budget
+            # (or after one task, if that task alone exceeds it).
+            v1 = int(
+                np.searchsorted(indptr, indptr[v0] + FANOUT_CHUNK_OPS, side="right")
+            ) - 1
+            v1 = max(v1, v0 + 1)
+            self._fanout_chunk(table, rows, v0, v1, sums)
+            v0 = v1
+        return sums
+
+    def _fanout_chunk(self, table, rows, v0: int, v1: int, sums: np.ndarray) -> None:
+        """Tasks ``v0 .. v1 - 1`` of :meth:`fanout_counts`; their burst
+        sums land in ``sums[v0:v1]``."""
+        engine = self.engine
+        scan_costs = self._scan_costs
+        lo = int(rows.indptr[v0])
+        bounds = (rows.indptr[v0:v1 + 1] - lo).tolist()
+        degrees = rows.cards[v0:v1].tolist()
+        k = bounds[-1]
+        if k == 0:
+            for size in degrees:
+                self._current_lane = engine.begin_task()
+                engine.charge(scan_costs.get(size) or self._scan_cost(size))
+            return
+        obs = self.obs
+        span = obs.kernel_start("intersect_fanout", k) if obs is not None else None
+        a_rows = np.repeat(np.arange(v0, v1), rows.cards[v0:v1])
+        b_rows = rows.col[lo:lo + k]
+        counts = rows.intersect_counts(a_rows, b_rows)
+        cum = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=cum[1:])
+        sums[v0:v1] = cum[bounds[1:]] - cum[bounds[:-1]]
+        fd = self.scu.dispatch_count_fanout(table, a_rows, b_rows)
+        compute, memory, latency = fd.compute, fd.memory, fd.latency
+        trace = self.trace if self.trace.enabled else None
+        span_cycles = 0.0
+        for t, size in enumerate(degrees):
+            lane = self._current_lane = engine.begin_task()
+            engine.charge(scan_costs.get(size) or self._scan_cost(size))
+            i0 = bounds[t]
+            i1 = bounds[t + 1]
+            if i0 == i1:
+                continue
+            engine.charge_batch(compute[i0:i1], memory[i0:i1], latency[i0:i1])
+            if obs is not None:
+                cycles = (
+                    sum(compute[i0:i1])
+                    + sum(latency[i0:i1])
+                    + sum(memory[i0:i1]) / engine.bytes_per_cycle
+                )
+                span_cycles += cycles
+                obs.burst(cycles, size, table.cards[b_rows[i0:i1]])
+            if trace is not None:
+                for i in range(i0, i1):
+                    j = fd.shape[i]
+                    trace.record(
+                        TraceEvent(
+                            opcode=table.opcodes[j],
+                            lane=lane,
+                            size_a=size,
+                            size_b=int(table.cards[b_rows[i]]),
+                            output_size=int(counts[i]),
+                            backend=table.backends[j],
+                            variant=table.variants[j],
+                        )
+                    )
+        if obs is not None:
+            obs.spans.end(span, cycles=span_cycles)
+
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one
         instruction (paper Section 11's proposed extension).
@@ -725,14 +831,7 @@ class SisaContext:
         if isinstance(value, DenseBitvector) == dense:
             return False
         size = value.cardinality
-        cost = self._scan_costs.get(size)
-        if cost is None:
-            if self.mode == "cpu-set":
-                cost = self.scu.cpu.neighborhood_scan(size)
-            else:
-                cost = self.scu.pnm.scan(size)
-            self._scan_costs[size] = cost
-        self.engine.charge(cost)
+        self.engine.charge(self._scan_cost(size))
         dispatch = self.scu.dispatch_create(
             size, dense=dense, universe=value.universe
         )
@@ -753,13 +852,21 @@ class SisaContext:
         size = value.cardinality
         cost = self._scan_costs.get(size)
         if cost is None:
+            cost = self._scan_cost(size)
+        self.engine.charge(cost)
+        return value.to_array()
+
+    def _scan_cost(self, size: int) -> Cost:
+        """Modeled cost of streaming a ``size``-element set out of
+        memory once (memoized per size)."""
+        cost = self._scan_costs.get(size)
+        if cost is None:
             if self.mode == "cpu-set":
                 cost = self.scu.cpu.neighborhood_scan(size)
             else:
                 cost = self.scu.pnm.scan(size)
             self._scan_costs[size] = cost
-        self.engine.charge(cost)
-        return value.to_array()
+        return cost
 
     def is_empty(self, set_id: int) -> bool:
         return self.cardinality(set_id) == 0

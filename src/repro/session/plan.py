@@ -96,6 +96,86 @@ class BurstUnit:
     writes: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Fanout:
+    """A burst stage's neighbourhood fan-out, declared once.
+
+    For every vertex ``v`` of the session's ``structure`` SetGraph
+    (``"oriented"`` or ``"undirected"``), in order: one task that scans
+    ``N(v)`` and issues the count burst ``N(v) ∩ N(u)`` for every
+    ``u ∈ N(v)``.  ``init(state, n)`` installs the stage's empty value
+    in ``state[slot]``; ``fold(state, v, s)`` folds the burst sums ``s``
+    (NumPy integers) of vertices ``v`` into it.
+
+    Both execution forms derive from this one declaration.
+    :meth:`run` executes the whole stage as one
+    :meth:`~repro.runtime.context.SisaContext.fanout_counts` program and
+    folds every vertex at once (``v``/``s`` aligned arrays);
+    :meth:`units` yields one :class:`BurstUnit` per non-empty
+    neighbourhood, whose sink folds that vertex alone (``v``/``s``
+    scalars), for the fused, scheduled and parallel executors.  The two
+    issue the same instruction stream.
+    """
+
+    structure: str
+    slot: str
+    init: Callable[[dict, int], None]
+    fold: Callable[[dict, Any, Any], None]
+
+    def setgraph(self, session):
+        if self.structure == "oriented":
+            return session.oriented_setgraph
+        return session.setgraph
+
+    def run(self, session, state: dict) -> None:
+        sums = session.ctx.fanout_counts(self.setgraph(session).set_ids)
+        self.init(state, sums.size)
+        self.fold(state, np.arange(sums.size), sums)
+
+    def units(self, session, state: dict) -> Iterator[BurstUnit]:
+        ids = self.setgraph(session).set_ids
+        ctx = session.ctx
+        fold = self.fold
+        writes = (f"state:{self.slot}",)
+        self.init(state, len(ids))
+        for v, a in enumerate(ids):
+            lane = ctx.begin_task()
+            nbrs = ctx.elements(a)
+            if nbrs.size:
+
+                def sink(counts, *, _v=v):
+                    fold(state, _v, counts.sum())
+
+                yield BurstUnit(
+                    a=a,
+                    bs=[ids[u] for u in nbrs.tolist()],
+                    kind="intersect",
+                    lane=lane,
+                    sink=sink,
+                    writes=writes,
+                )
+
+
+def fanout_stage(label: str, key: tuple | None, fanout: Fanout) -> "PlanStage":
+    """The burst stage that executes ``fanout`` and yields
+    ``state[fanout.slot]``: it reads the fan-out's SetGraph, writes (or,
+    when deduped, seeds) the slot, and runs as one program on the
+    sequential path and as per-vertex units elsewhere."""
+    slot = fanout.slot
+    return PlanStage(
+        kind="bursts",
+        label=label,
+        reads=(fanout.structure,),
+        key=key,
+        units=fanout.units,
+        result=lambda state: state[slot],
+        seed=lambda state, value: state.__setitem__(slot, value),
+        writes=(f"state:{slot}",),
+        seeds=(f"state:{slot}",),
+        fanout=fanout,
+    )
+
+
 @dataclass
 class PlanStage:
     """One declarative step of a compiled plan.
@@ -135,6 +215,9 @@ class PlanStage:
     seed: Callable[[dict, Any], None] | None = None
     writes: tuple[str, ...] = ()  # effect tokens executing the stage mutates
     seeds: tuple[str, ...] = ()  # state slots the seed hook installs
+    # A whole-graph fan-out the sequential executor runs as one program
+    # (``units`` then derives from it; see fanout_stage).
+    fanout: Fanout | None = None
 
 
 def subrequest_key(name: str, params: dict) -> tuple | None:
@@ -530,6 +613,9 @@ class PlanExecutor:
                     w0 = ctx.engine.work_cycles()
                 if stage.kind == "call":
                     value = stage.run(session, state)
+                elif stage.fanout is not None:
+                    stage.fanout.run(session, state)
+                    value = stage.result(state)
                 else:
                     for unit in stage.units(session, state):
                         counts = getattr(ctx, f"{unit.kind}_count_batch")(

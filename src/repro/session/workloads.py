@@ -37,7 +37,13 @@ from repro.algorithms.triangles import triangle_count_oriented
 from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.setgraph import SetGraph
-from repro.session.plan import BurstUnit, PlanStage, subrequest_key
+from repro.session.plan import (
+    BurstUnit,
+    Fanout,
+    PlanStage,
+    fanout_stage,
+    subrequest_key,
+)
 from repro.session.registry import workload
 from repro.streaming.incremental import degrees_of, local_triangle_counts
 
@@ -79,43 +85,22 @@ def _prep_stage(which: str) -> PlanStage:
     )
 
 
+def _init_triangles(state, n):
+    state["triangles"] = 0
+
+
+def _fold_triangles(state, vs, sums):
+    state["triangles"] += int(sums.sum())
+
+
 def _triangle_burst_stage() -> PlanStage:
     """The shared triangle-count burst stage (Algorithm 1's oriented
-    ``|N+(u) ∩ N+(v)|`` bursts) — the sub-request both ``triangles``
+    ``|N+(u) ∩ N+(v)|`` fan-out) — the sub-request both ``triangles``
     and ``clustering_coefficient`` plans schedule, under one dedup key."""
-
-    def units(session, state):
-        sg = session.oriented_setgraph
-        ctx = session.ctx
-        state["triangles"] = 0
-
-        def sink(counts):
-            state["triangles"] += int(counts.sum())
-
-        for u in range(sg.num_vertices):
-            lane = ctx.begin_task()
-            out_u = sg.neighborhood(u)
-            nbrs = ctx.elements(out_u)
-            if nbrs.size:
-                yield BurstUnit(
-                    a=out_u,
-                    bs=[sg.neighborhood(int(v)) for v in nbrs],
-                    kind="intersect",
-                    lane=lane,
-                    sink=sink,
-                    writes=("state:triangles",),
-                )
-
-    return PlanStage(
-        kind="bursts",
-        label="bursts:triangles",
-        reads=("oriented",),
-        key=subrequest_key("triangles", {}),
-        units=units,
-        result=lambda state: state["triangles"],
-        seed=lambda state, value: state.__setitem__("triangles", value),
-        writes=("state:triangles",),
-        seeds=("state:triangles",),
+    return fanout_stage(
+        "bursts:triangles",
+        subrequest_key("triangles", {}),
+        Fanout("oriented", "triangles", _init_triangles, _fold_triangles),
     )
 
 
@@ -142,28 +127,16 @@ def _clustering_coefficient_stages(session, params):
     ]
 
 
+def _init_local_counts(state, n):
+    state["counts"] = np.zeros(n, dtype=np.int64)
+
+
+def _fold_local_counts(state, vs, sums):
+    # Σ_{u∈N(v)} |N(v) ∩ N(u)| counts each triangle at v twice.
+    state["counts"][vs] = sums // 2
+
+
 def _local_clustering_stages(session, params):
-    def units(session, state):
-        sg = session.setgraph
-        ctx = session.ctx
-        counts = state["counts"] = np.zeros(sg.num_vertices, dtype=np.int64)
-        for v in range(sg.num_vertices):
-            lane = ctx.begin_task()
-            nbrs = ctx.elements(sg.neighborhood(v))
-            if nbrs.size:
-
-                def sink(burst, *, _v=v):
-                    counts[_v] = int(burst.sum()) // 2
-
-                yield BurstUnit(
-                    a=sg.neighborhood(v),
-                    bs=[sg.neighborhood(int(u)) for u in nbrs],
-                    kind="intersect",
-                    lane=lane,
-                    sink=sink,
-                    writes=("state:counts",),
-                )
-
     def finalize(session, state):
         counts = state["counts"]
         d = degrees_of(session.setgraph).astype(np.float64)
@@ -177,16 +150,10 @@ def _local_clustering_stages(session, params):
 
     return [
         _prep_stage("undirected"),
-        PlanStage(
-            kind="bursts",
-            label="bursts:local_triangles",
-            reads=("undirected",),
-            key=subrequest_key("local_triangle_counts", {}),
-            units=units,
-            result=lambda state: state["counts"],
-            seed=lambda state, value: state.__setitem__("counts", value),
-            writes=("state:counts",),
-            seeds=("state:counts",),
+        fanout_stage(
+            "bursts:local_triangles",
+            subrequest_key("local_triangle_counts", {}),
+            Fanout("undirected", "counts", _init_local_counts, _fold_local_counts),
         ),
         PlanStage(
             kind="call",

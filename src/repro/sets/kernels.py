@@ -296,7 +296,7 @@ def intersect_count_flat_sa(
 def intersect_count_flat_db(
     words: np.ndarray, flat: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """``|P ∩ S_i]`` where P is a dense bitvector: one vectorized bit
+    """``|P ∩ S_i|`` where P is a dense bitvector: one vectorized bit
     probe of the whole concatenated frontier."""
     if flat.size == 0:
         return np.zeros(offsets.size - 1, dtype=np.int64)

@@ -42,16 +42,13 @@ from repro.streaming.graph import ensure_live_view
 # ---------------------------------------------------------------------------
 
 def local_triangle_counts(view, ctx: SisaContext) -> np.ndarray:
-    """Per-vertex triangle counts by full recompute: one batched count
-    burst per vertex (``Σ_{u∈N(v)} |N(v) ∩ N(u)|`` counts each triangle
-    at its center twice)."""
-    counts = np.zeros(view.num_vertices, dtype=np.int64)
-    for v in range(view.num_vertices):
-        ctx.begin_task()
-        nbrs = ctx.elements(view.neighborhood(v))
-        if nbrs.size:
-            counts[v] = int(view.neighborhood_counts(v, nbrs).sum()) // 2
-    return counts
+    """Per-vertex triangle counts by full recompute: one count burst per
+    vertex, run as one fan-out program
+    (:meth:`~repro.runtime.context.SisaContext.fanout_counts`;
+    ``Σ_{u∈N(v)} |N(v) ∩ N(u)|`` counts each triangle at its center
+    twice)."""
+    ensure_live_view(view)
+    return ctx.fanout_counts(view.set_ids) // 2
 
 
 def clustering_coefficients_from_counts(

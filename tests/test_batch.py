@@ -12,6 +12,9 @@ engine + zero-materialization counting fast path):
 * the batched algorithm kernels agree with independent references.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +35,12 @@ from repro.baselines.nonset import (
     kclique_count_nonset,
     triangle_count_nonset,
 )
-from repro.graphs.generators import gnp_random_graph
+from repro.graphs.generators import gnp_random_graph, kronecker_graph
+from repro.hw.config import HardwareConfig
+from repro.observability import Observability
 from repro.runtime import batch as batchmod
-from repro.runtime.context import SisaContext
+from repro.runtime import context as contextmod
+from repro.runtime.context import FANOUT_CHUNK_OPS, MODES, SisaContext
 from repro.runtime.setgraph import SetGraph
 from repro.session import SisaSession
 from repro.sets import kernels
@@ -389,3 +395,154 @@ class TestTraceOverhead:
         before = len(ctx.trace)
         ctx.intersect_count_batch(ids[0], ids[1:8])
         assert len(ctx.trace) == before + 7
+
+
+def _fanout_reference(ctx, ids):
+    """The per-vertex burst loop ``fanout_counts`` replaces."""
+    sums = np.zeros(len(ids), dtype=np.int64)
+    for v in range(len(ids)):
+        ctx.begin_task()
+        nbrs = ctx.elements(ids[v])
+        if nbrs.size:
+            sums[v] = int(
+                ctx.intersect_count_batch(ids[v], [ids[u] for u in nbrs]).sum()
+            )
+    return sums
+
+
+def _machine_state(ctx):
+    """Everything the fan-out may touch, in comparable form."""
+    engine = ctx.engine
+    scu = ctx.scu
+    return {
+        "lanes": [
+            (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
+            for lane in engine._lanes
+        ],
+        "lane_times": list(engine._lane_times),
+        "current_lane": (engine._current, ctx._current_lane),
+        "smb_order": list(scu.smb._entries),
+        "smb_stats": scu.smb.stats,
+        "stats": scu.stats,
+        "by_opcode_order": list(scu.stats.by_opcode),
+        "memo_keys": list(scu._decision_memo),
+        "trace": ctx.trace.events,
+        "metrics": ctx.obs.registry.snapshot(),
+        "set_sizes": {k: h.as_dict() for k, h in ctx.obs.set_sizes.items()},
+    }
+
+
+_MACHINES = {
+    "smb-off": {"smb_enabled": False},
+    "smb-1": {"hw": HardwareConfig(smb_entries=1)},
+    "smb-2": {"hw": HardwareConfig(smb_entries=2)},
+    "default": {},
+    # Non-dyadic latencies: per-op cost sums depend on the order of
+    # the float additions, which must match the per-burst path's.
+    "float-order": {
+        "hw": HardwareConfig(
+            scu_dispatch_cycles=0.1, sm_hit_cycles=0.3, pnm_random_access_ns=1.7
+        )
+    },
+}
+
+
+def _fanout_run(graph, fanout, *, oriented, t, unsorted, machine, **config):
+    """One fresh context: build the SetGraph, run the fan-out either way."""
+    ctx = SisaContext(
+        trace=True, observability=Observability(), **_MACHINES[machine], **config
+    )
+    if oriented:
+        __, sg = oriented_setgraph(graph, ctx, t=t)
+    else:
+        sg = SetGraph.from_graph(graph, ctx, t=t)
+    ids = sg.set_ids
+    if unsorted:
+        # Unsorted operands exercise the sorted-copy iterator and the
+        # unsorted-SA variant decision.
+        for v in range(0, len(ids), 3):
+            value = ctx.value(ids[v])
+            if isinstance(value, SparseArray) and value.cardinality > 1:
+                ctx.sm.update(ids[v], value.shuffled(v))
+    counts = ctx.fanout_counts(ids) if fanout else _fanout_reference(ctx, ids)
+    return counts, _machine_state(ctx)
+
+
+class TestFanoutCounts:
+    """``SisaContext.fanout_counts`` against the per-vertex burst loop
+    it replaces, each on a fresh context: the same counts and the same
+    machine state, bit for bit."""
+
+    @staticmethod
+    def _assert_same(graph, chunk=FANOUT_CHUNK_OPS, **kwargs):
+        saved = contextmod.FANOUT_CHUNK_OPS
+        contextmod.FANOUT_CHUNK_OPS = chunk
+        try:
+            got, state = _fanout_run(graph, True, **kwargs)
+        finally:
+            contextmod.FANOUT_CHUNK_OPS = saved
+        expected, ref_state = _fanout_run(graph, False, **kwargs)
+        assert got.tolist() == expected.tolist()
+        for field, value in ref_state.items():
+            assert state[field] == value, field
+        return state["stats"].instructions
+
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        p=st.floats(min_value=0.05, max_value=0.6),
+        seed=st.integers(min_value=0, max_value=2**16),
+        mode=st.sampled_from(MODES),
+        machine=st.sampled_from(sorted(_MACHINES)),
+        threads=st.sampled_from([1, 4, 32]),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        gallop=st.sampled_from([None, 2.0]),
+        oriented=st.booleans(),
+        unsorted=st.booleans(),
+        chunk=st.sampled_from([1, 7, FANOUT_CHUNK_OPS]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_vertex_bursts(
+        self, n, p, seed, mode, machine, threads, t, gallop, oriented, unsorted, chunk
+    ):
+        self._assert_same(
+            gnp_random_graph(n, p, seed=seed),
+            chunk=chunk,
+            oriented=oriented,
+            t=t,
+            unsorted=unsorted,
+            machine=machine,
+            mode=mode,
+            threads=threads,
+            gallop_threshold=gallop,
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("oriented", [True, False])
+    def test_crosses_chunk_boundaries(self, mode, oriented):
+        ops = self._assert_same(
+            kronecker_graph(9, 8, seed=0),
+            oriented=oriented,
+            t=0.4,
+            unsorted=False,
+            machine="default",
+            mode=mode,
+            threads=32,
+        )
+        assert ops > FANOUT_CHUNK_OPS
+
+    def test_warm_triangles_working_set(self):
+        """The fan-out works chunk by chunk, so a warm ``triangles``
+        run's transient memory stays within 1.5 MiB."""
+        session = SisaSession(
+            kronecker_graph(11, 8, seed=0), threads=32, result_cache=False
+        )
+        session.run("triangles")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, __ = tracemalloc.get_traced_memory()
+            session.run("triangles")
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.5 * 2**20

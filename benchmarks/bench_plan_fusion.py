@@ -23,6 +23,13 @@ bit-identical to the sequential stream (outputs, per-plan cycles,
 dispatch stats).  Modeled cycles are deterministic, so CI asserts the
 full floor.
 
+The JSON record also keeps every fused plan's exact modeled cycles and
+instruction count, and the per-tenant cycle ledger of a strict fused
+soak batch (eight tenants submitting the robustness-soak mix on a
+Kronecker graph, so two neighbourhood fan-outs interleave macro by
+macro).  Both are deterministic: CI reruns the bench and fails when
+the committed record changes.
+
 Env knobs: ``BENCH_PLAN_N`` / ``BENCH_PLAN_M`` (graph shape, default
 4000 / 16000), ``BENCH_PLAN_PAIRS`` (watchlist size, default 400),
 ``BENCH_PLAN_MIN_SPEEDUP`` (floor, default 1.5).
@@ -32,8 +39,9 @@ import os
 
 import numpy as np
 
-from repro.graphs.generators import chung_lu_graph
-from repro.session import ExecutionConfig, SisaSession
+from repro.analysis.static.smoke import SOAK_WORKLOADS
+from repro.graphs.generators import chung_lu_graph, kronecker_graph
+from repro.session import ExecutionConfig, SessionPool, SisaSession
 
 from common import emit, emit_json
 
@@ -42,6 +50,7 @@ M = int(os.environ.get("BENCH_PLAN_M", "16000"))
 PAIRS = int(os.environ.get("BENCH_PLAN_PAIRS", "400"))
 MIN_SPEEDUP = float(os.environ.get("BENCH_PLAN_MIN_SPEEDUP", "1.5"))
 THREADS = 32
+SOAK_TENANTS = 8
 
 
 def _watchlist(n: int, count: int) -> np.ndarray:
@@ -115,10 +124,31 @@ def _measure(graph):
         )
     total_seq = float(sum(seq_cycles))
     macros = fused_session.ctx.scu.stats.fused_macros
-    return rows, total_seq, float(fused_cycles), macros
+    plans = [
+        {
+            "workload": fused.workload,
+            "runtime_cycles": fused.runtime_cycles,
+            "instructions": fused.instructions,
+        }
+        for fused in fused_runs
+    ]
+    return rows, total_seq, float(fused_cycles), macros, plans
 
 
-def _render(graph, rows, total_seq, fused_cycles, macros):
+def _soak_ledger() -> dict[str, float]:
+    """Modeled cycles each tenant is charged for one strict fused soak
+    batch: ``SOAK_TENANTS`` tenants submitting the robustness-soak mix
+    to one pooled session."""
+    pool = SessionPool(ExecutionConfig(threads=THREADS))
+    pool.session("soak", kronecker_graph(9, 8, seed=0))
+    for tenant in range(SOAK_TENANTS):
+        for name, params in SOAK_WORKLOADS:
+            pool.submit("soak", name, tenant=f"tenant-{tenant}", **params)
+    pool.run()
+    return dict(sorted(pool.tenant_cycles.items()))
+
+
+def _render(graph, rows, total_seq, fused_cycles, macros, plans):
     print("== Plan fusion: mixed workload batch vs sequential warm runs ==")
     print(
         f"chung-lu n={graph.num_vertices} m={graph.edge_array().shape[0]} "
@@ -149,10 +179,10 @@ def _render(graph, rows, total_seq, fused_cycles, macros):
 
 def test_plan_fusion_speedup(benchmark):
     graph = chung_lu_graph(N, M, gamma=2.4, seed=17)
-    rows, total_seq, fused_cycles, macros = _measure(graph)
+    rows, total_seq, fused_cycles, macros, plans = _measure(graph)
     emit(
         "plan_fusion",
-        lambda: _render(graph, rows, total_seq, fused_cycles, macros),
+        lambda: _render(graph, rows, total_seq, fused_cycles, macros, plans),
     )
     emit_json(
         "plan_fusion",
@@ -161,6 +191,8 @@ def test_plan_fusion_speedup(benchmark):
             "sequential_mcycles": total_seq / 1e6,
             "fused_mcycles": fused_cycles / 1e6,
             "fused_macros": macros,
+            "fused_plans": plans,
+            "soak_tenant_cycles": _soak_ledger(),
         },
         floors={"min_speedup": MIN_SPEEDUP},
     )

@@ -143,8 +143,10 @@ class OperandTable:
 
     The decision columns grow by one entry per distinct operand shape
     the program has dispatched, in order of first occurrence: the
-    variant and model cost :meth:`Scu._decide` returned for it, and the
-    per-op stats increments it implies.
+    variant and model cost :meth:`Scu._decide` returned for it, and its
+    stats kind.  Kinds number the distinct ``(opcode, backend,
+    increments)`` the entries record per op (``increments`` as
+    ``(counter, amount)`` pairs), in order of first occurrence too.
     """
 
     def __init__(self, op: SetOp, metas: list[SetMeta]):
@@ -162,17 +164,17 @@ class OperandTable:
             n,
         )
         self.width = int(self.cards.max()) + 1 if n else 1
-        # Decision columns, one entry per shape, and the shape codes
-        # seen so far (sorted) with their entries.
+        # Decision columns, one entry per shape, and each decided shape
+        # code's entry.
         self.opcodes: list[Opcode] = []
         self.backends: list[str] = []
         self.variants: list[str] = []
         self.compute: list[float] = []
         self.memory: list[float] = []
         self.latency: list[float] = []
-        self.increments: list[int] = []  # len(_COUNTERS) per shape
-        self.known = np.zeros(0, dtype=np.int64)
-        self.known_entry = np.zeros(0, dtype=np.int64)
+        self.kinds: list[int] = []
+        self.kind_of: dict[tuple, int] = {}
+        self.entry_of: dict[int, int] = {}  # shape code -> entry
         self._columns: tuple[np.ndarray, ...] = ()
 
     def shape_codes(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
@@ -200,38 +202,38 @@ class OperandTable:
         self.compute.append(cost.compute_cycles)
         self.memory.append(cost.memory_bytes)
         self.latency.append(cost.latency_cycles)
-        self.increments.extend(increments)
+        kind = (opcode, backend, tuple((j, x) for j, x in enumerate(increments) if x))
+        self.kinds.append(self.kind_of.setdefault(kind, len(self.kind_of)))
         return len(self.opcodes) - 1
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """The decision columns as arrays: per-shape model compute,
-        memory and latency, and the ``(shapes, 5)`` counter increments
+        """The per-shape model compute, memory and latency as arrays
         (rebuilt only when shapes were added)."""
         if len(self._columns) == 0 or len(self._columns[0]) != len(self.compute):
             self._columns = (
                 np.asarray(self.compute, dtype=np.float64),
                 np.asarray(self.memory, dtype=np.float64),
                 np.asarray(self.latency, dtype=np.float64),
-                np.asarray(self.increments, dtype=np.int64).reshape(
-                    -1, len(_COUNTERS)
-                ),
             )
         return self._columns
 
 
 @dataclass
 class FanoutDispatch:
-    """Outcome of one SCU dispatch over a chunk of fan-out instructions.
+    """Outcome of one SCU dispatch over a run of fan-out instructions.
 
     Per-op cost components are Python float lists in instruction order
     (the engine accumulates them exactly like :class:`BatchDispatch`'s);
-    ``shape[i]`` is op ``i``'s entry in the table's decision columns.
+    ``shape[i]`` is op ``i``'s entry in the decision columns of its
+    table, and ``owners`` holds the per-owner stats deltas of a fused
+    macro.
     """
 
     compute: list[float]
     memory: list[float]
     latency: list[float]
-    shape: np.ndarray
+    shape: np.ndarray | list[int]
+    owners: list[DispatchStats] = field(default_factory=list)
 
 
 class Scu:
@@ -497,87 +499,139 @@ class Scu:
             self.obs.dispatch_batch(opcodes, backends)
         return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
 
+    def _resolve(self, table: OperandTable, codes: list[int], operands) -> list[int]:
+        """Each op's entry in ``table``'s decision columns, for ops of
+        shape ``codes`` whose operand rows ``operands(i)`` returns.
+
+        A shape new to the table is decided through the :meth:`_decide`
+        memo at its first op, in op order, so the memo fills in the
+        order the per-op path fills it; known shapes reuse the table's
+        decision.  The stats counters move as :meth:`_decide` moves
+        them, so callers recount by multiplicity (:meth:`_tally`).
+        """
+        entry_of = table.entry_of
+        entries = list(map(entry_of.get, codes))
+        if None not in entries:
+            return entries  # type: ignore[return-value]
+        stats = self.stats
+        for i, e in enumerate(entries):
+            if e is None:
+                code = codes[i]
+                e = entry_of.get(code)
+                if e is None:
+                    a, b = operands(i)
+                    before = _counters(stats)
+                    decision = self._decide(
+                        table.op, table.metas[a], table.metas[b], 0, True
+                    )
+                    e = entry_of[code] = table.add(
+                        decision, [x - y for x, y in zip(_counters(stats), before)]
+                    )
+                entries[i] = e
+        return entries  # type: ignore[return-value]
+
+    def _tally(self, bursts, base, groups=None) -> list[DispatchStats]:
+        """Record dispatched fan-out ops in the stats by multiplicity.
+
+        ``bursts`` holds one ``(table, counts)`` per burst, in
+        instruction order, where ``counts`` maps stats kinds of
+        ``table`` to their multiplicity in the burst, in order of first
+        occurrence; ``base`` holds the counters before :meth:`_resolve`.
+        The counters become ``base`` plus each kind's increments times
+        its multiplicity, and new ``by_opcode`` keys and dispatch-feed
+        series appear in order of first occurrence.
+
+        With ``groups`` (each burst's owner), also returns one stats
+        delta per owner, whose new ``by_opcode`` keys are ordered burst
+        by burst, each burst's in global key order, as adding one
+        per-burst delta at a time would order them.
+        """
+        stats = self.stats
+        by_opcode = stats.by_opcode
+        dispatched: dict[tuple[Opcode, str], int] = {}
+        totals = list(base)
+        owners = (
+            [DispatchStats() for __ in range(max(groups) + 1)] if groups else []
+        )
+        counters = [[0] * len(_COUNTERS) for __ in owners]
+        for c, (table, counts) in enumerate(bursts):
+            kinds = list(table.kind_of)
+            if groups:
+                owner = owners[groups[c]]
+                mine = owner.by_opcode
+                acc = counters[groups[c]]
+                new: list[Opcode] = []
+            for kind, n in counts.items():
+                opcode, backend, increments = kinds[kind]
+                by_opcode[opcode] = by_opcode.get(opcode, 0) + n
+                pair = (opcode, backend)
+                dispatched[pair] = dispatched.get(pair, 0) + n
+                for j, x in increments:
+                    totals[j] += n * x
+                if groups:
+                    for j, x in increments:
+                        acc[j] += n * x
+                    owner.instructions += n
+                    if opcode in mine:
+                        mine[opcode] += n
+                    else:
+                        new.append(opcode)
+                        mine[opcode] = n
+            if groups and len(new) > 1:
+                # The burst's new keys enter in global key order.
+                rank = {opcode: r for r, opcode in enumerate(by_opcode)}
+                tail = {op: mine.pop(op) for op in sorted(new, key=rank.__getitem__)}
+                mine.update(tail)
+        for name, total in zip(_COUNTERS, totals):
+            setattr(stats, name, total)
+        stats.instructions += sum(sum(counts.values()) for __, counts in bursts)
+        if self.obs is not None:
+            self.obs.dispatch_counts(dispatched)
+        for owner, acc in zip(owners, counters):
+            for name, total in zip(_COUNTERS, acc):
+                setattr(owner, name, total)
+        return owners
+
     def dispatch_count_fanout(
-        self, table: OperandTable, a_rows: np.ndarray, b_rows: np.ndarray
+        self,
+        table: OperandTable,
+        a_rows: np.ndarray,
+        b_rows: np.ndarray,
+        codes: list[int],
     ) -> FanoutDispatch:
         """Dispatch the count-form ops ``table[a_rows[i]] op
-        table[b_rows[i]]`` (one chunk of a fan-out program) at once.
+        table[b_rows[i]]`` (one chunk of a fan-out program, whose
+        operand shape ``codes`` the chunk carries) at once.
 
         The modeled outcome equals :meth:`dispatch_binary_batch` over
         the same ops, burst by burst:
 
         * the SMB replays the access sequence ``a_0, b_0, a_1, b_1, ...``
           in one :meth:`~repro.hw.cache.LruCache.access_many` call;
-        * a shape new to the table is decided through the :meth:`_decide`
-          memo, in order of first occurrence, so the memo fills in the
-          same order; known shapes reuse the table's decision;
+        * shapes resolve to decisions through :meth:`_resolve`, new ones
+          through the :meth:`_decide` memo in order of first occurrence;
         * per-op compute, memory and latency are composed with the same
           float operations in the same order;
-        * the stats are updated once per chunk, each shape's counter
-          increments times its multiplicity, and new ``by_opcode`` keys
-          appear in order of first occurrence.
+        * the stats are updated once per chunk by multiplicity
+          (:meth:`_tally`).
         """
         k = int(a_rows.size)
-        stats = self.stats
         hw = self.hw
         keys = np.empty(2 * k, dtype=np.int64)
         keys[0::2] = table.ids[a_rows]
         keys[1::2] = table.ids[b_rows]
         hits = np.asarray(self.smb.access_many(keys.tolist()), dtype=bool)
-        codes, first, inverse = np.unique(
-            table.shape_codes(a_rows, b_rows),
-            return_index=True,
-            return_inverse=True,
+        base = _counters(self.stats)
+        shape = np.asarray(
+            self._resolve(table, codes, lambda i: (a_rows[i], b_rows[i])),
+            dtype=np.int64,
         )
-        # Known shapes resolve by one search; new ones are decided in
-        # order of first occurrence.
-        pos = np.searchsorted(table.known, codes)
-        found = pos < table.known.size
-        found[found] = table.known[pos[found]] == codes[found]
-        local = np.zeros(codes.size, dtype=np.int64)
-        local[found] = table.known_entry[pos[found]]
-        base = _counters(stats)
-        new = np.flatnonzero(~found)
-        if new.size:
-            new = new[np.argsort(first[new], kind="stable")]
-            for j in new.tolist():
-                f = int(first[j])
-                before = _counters(stats)
-                decision = self._decide(
-                    table.op,
-                    table.metas[a_rows[f]],
-                    table.metas[b_rows[f]],
-                    0,
-                    True,
-                )
-                local[j] = table.add(
-                    decision,
-                    [x - b for x, b in zip(_counters(stats), before)],
-                )
-            merged = np.concatenate([table.known, codes[new]])
-            order = np.argsort(merged, kind="stable")
-            table.known = merged[order]
-            table.known_entry = np.concatenate(
-                [table.known_entry, local[new]]
-            )[order]
-        shape = local[inverse.reshape(-1)]
-        # Counters: the first-time decisions above counted one op per
-        # new shape; recount the whole chunk by multiplicity instead.
-        compute, memory, latency, increments = table.columns()
-        mult = np.bincount(shape, minlength=len(table.opcodes))
-        for c, b, total in zip(_COUNTERS, base, (mult @ increments).tolist()):
-            setattr(stats, c, b + total)
-        stats.instructions += k
-        # Shape entries are numbered in order of first occurrence, so
-        # ascending entries add new opcodes in that order too.
-        by_opcode = stats.by_opcode
-        dispatched: dict[tuple[Opcode, str], int] = {}
-        for s in np.flatnonzero(mult).tolist():
-            m = int(mult[s])
-            opcode = table.opcodes[s]
-            by_opcode[opcode] = by_opcode.get(opcode, 0) + m
-            pair = (opcode, table.backends[s])
-            dispatched[pair] = dispatched.get(pair, 0) + m
+        # Kinds new to the table are numbered in order of first
+        # occurrence, so ascending kinds meet new keys in that order.
+        mult = np.bincount(np.asarray(table.kinds)[shape])
+        used = np.flatnonzero(mult)
+        self._tally([(table, dict(zip(used.tolist(), mult[used].tolist())))], base)
+        compute, memory, latency = table.columns()
         # Metadata phase plus model cost, float for float as in
         # dispatch_binary_batch (adding an exact 0.0 where a branch
         # there adds nothing).
@@ -595,11 +649,92 @@ class Scu:
         if self.host_fallback:
             lat += self.cpu.config.set_op_latency_cycles
         lat += latency[shape]
-        if self.obs is not None:
-            self.obs.dispatch_counts(dispatched)
         return FanoutDispatch(
             comp.tolist(), memory[shape].tolist(), lat.tolist(), shape
         )
+
+    def dispatch_fused_fanout(
+        self, bursts, groups: list[int], *, include_decode: bool
+    ) -> FanoutDispatch:
+        """A fused macro's run of fan-out constituent bursts, dispatched
+        at once.
+
+        ``bursts`` holds one ``(table, a, codes, b_rows, ids)`` per
+        constituent: the count-form ops of probe row ``a`` of ``table``
+        against rows ``b_rows``, with their operand shape ``codes`` and
+        frontier set ``ids`` (lists); ``groups[c]`` numbers constituent
+        ``c``'s owner.  The modeled outcome equals one
+        :meth:`dispatch_binary_fused` per constituent, in order, with
+        ``include_decode`` on the first:
+
+        * the SMB replays every constituent's lookups (its probe, then
+          each frontier operand) in one
+          :meth:`~repro.hw.cache.LruCache.access_many` call;
+        * shapes resolve to decisions through :meth:`_resolve`,
+          constituent by constituent, so new ones are decided at their
+          first op in op order across the tables;
+        * the macro decode lands on the first op and each constituent's
+          probe lookup on its own first op, composed float for float as
+          :meth:`dispatch_binary_fused` composes them;
+        * the stats are updated once, by multiplicity (:meth:`_tally`),
+          and ``owners`` holds each owner's delta (the macro counts for
+          constituent 0's).
+        """
+        if self.host_fallback:
+            raise IsaError("fused dispatch requires the SCU (sisa mode)")
+        keys: list[int] = []
+        for table, a, __, __, ids in bursts:
+            keys.append(int(table.ids[a]))
+            keys += ids
+        hits = self.smb.access_many(keys)
+        base = _counters(self.stats)
+        # dispatch_binary_fused's metadata phase, op by op, over entries
+        # resolved constituent by constituent (so in op order).
+        hw = self.hw
+        hit_c = hw.sm_hit_cycles
+        miss_c = hw.pnm_random_access_cycles
+        compute: list[float] = []
+        memory: list[float] = []
+        latency: list[float] = []
+        shape: list[int] = []
+        tallies = []
+        p = 0
+        comp = hw.scu_dispatch_cycles if include_decode else 0.0
+        for table, a, codes, b_rows, __ in bursts:
+            ops = self._resolve(table, codes, lambda i: (a, b_rows[i]))
+            t_compute = table.compute
+            t_memory = table.memory
+            t_latency = table.latency
+            kinds = table.kinds
+            counts: dict[int, int] = {}
+            lat = 0.0
+            if hits[p]:
+                comp += hit_c
+            else:
+                lat += miss_c
+            p += 1
+            for e in ops:
+                if hits[p]:
+                    comp += hit_c
+                else:
+                    lat += miss_c
+                p += 1
+                compute.append(comp + t_compute[e])
+                memory.append(t_memory[e])
+                latency.append(lat + t_latency[e])
+                comp = 0.0
+                lat = 0.0
+                kind = kinds[e]
+                counts[kind] = counts.get(kind, 0) + 1
+            shape += ops
+            tallies.append((table, counts))
+        owners = self._tally(tallies, base, groups)
+        if include_decode:
+            self.stats.fused_macros += 1
+            owners[groups[0]].fused_macros += 1
+            if self.obs is not None:
+                self.obs.fused_macro()
+        return FanoutDispatch(compute, memory, latency, shape, owners)
 
     def dispatch_binary_fused(
         self,

@@ -228,6 +228,11 @@ class FanoutRows:
     element ``w`` of row ``r``; rows are sorted and consecutive, so the
     keys are globally sorted and one binary search answers "is ``w`` in
     row ``r``" for any number of (row, element) pairs at once.
+
+    The elements are vertices naming rows, so row ``v``'s fan-out pairs
+    it with every row ``u ∈ row v``; ``volume[v]`` is the probe volume
+    (``Σ min(|row v|, |row u|)``, the elements one pair's probe searches)
+    of all pairs of rows before ``v``.
     """
 
     def __init__(self, values: Sequence[VertexSet], universe: int):
@@ -240,9 +245,25 @@ class FanoutRows:
             np.concatenate(arrays) if n else np.zeros(0, dtype=np.int64)
         )
         self.universe = universe
-        self.keys = np.repeat(
-            np.arange(n, dtype=np.int64) * universe, self.cards
-        ) + self.col
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.cards)
+        self.keys = rows * universe + self.col
+        probe = np.zeros(self.col.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.minimum(self.cards[rows], self.cards[self.col]), out=probe[1:]
+        )
+        self.volume = probe[self.indptr]
+
+    def chunk_end(self, v0: int, ops: int, volume: int) -> int:
+        """The end of the chunk of fan-out rows that starts at ``v0``:
+        the last row boundary within ``ops`` pairs and ``volume`` probe
+        volume, or ``v0 + 1`` if row ``v0`` alone exceeds either."""
+        indptr = self.indptr
+        vol = self.volume
+        v1 = min(
+            int(np.searchsorted(indptr, indptr[v0] + ops, side="right")),
+            int(np.searchsorted(vol, vol[v0] + volume, side="right")),
+        )
+        return max(v1 - 1, v0 + 1)
 
     def intersect_counts(
         self, a_rows: np.ndarray, b_rows: np.ndarray

@@ -43,10 +43,76 @@ from repro.sets.sparse import SparseArray
 
 MODES = ("sisa", "cpu-set")
 
-#: Instructions per chunk of :meth:`SisaContext.fanout_counts`.  A chunk
-#: ends at the first task boundary within this budget, so its transient
-#: arrays and per-op cost lists stay small whatever the graph's size.
+#: Budgets of one chunk of a :class:`FanoutProgram`: at most this many
+#: instructions, and at most this much probe volume (the elements the
+#: chunk's flat probe searches, ``Σ min(|N(u)|, |N(v)|)`` over its ops).
+#: A chunk ends at the last task boundary within both (or after one
+#: task, if that task alone exceeds one), so its transient arrays and
+#: per-op cost lists stay small whatever the graph's size and however
+#: large its hubs.
 FANOUT_CHUNK_OPS = 1024
+FANOUT_CHUNK_PROBE = 16384
+
+
+class FanoutProgram:
+    """A neighbourhood fan-out as a chunked array program.
+
+    ``set_ids[v]`` names ``N(v)``, whose elements are vertices; task
+    ``v`` is the count burst ``N(v) ∩ N(u)`` for every ``u ∈ N(v)``.
+    The operand table (:class:`~repro.isa.scu.OperandTable`) and the
+    element rows (:class:`~repro.runtime.batch.FanoutRows`) are built
+    once; chunks of consecutive tasks are built one at a time, on
+    demand: each chunk's op rows, its counts from one flat probe, and
+    its operand shape codes.  Building touches no modeled state.
+    """
+
+    def __init__(self, sm, set_ids):
+        metas = sm.metas_of(set_ids)
+        self.table = OperandTable(SetOp.INTERSECT_COUNT, metas)
+        self.rows = batchmod.FanoutRows(
+            sm.values_of(set_ids), metas[0].universe if metas else 0
+        )
+        self.size = len(metas)
+        self.v0 = self.v1 = 0
+        self.bounds = [0]
+
+    def chunk(self, v0: int) -> None:
+        """Make the chunk that starts at task ``v0`` current: tasks
+        ``v0 .. v1 - 1``, whose ops ``bounds[t] .. bounds[t + 1] - 1``
+        belong to task ``v0 + t``, which sums their counts to
+        ``sums[t]``.  Op ``i`` is row ``a_rows[i]`` against row
+        ``b_rows[i]`` (set id ``ids[i]``, cardinality ``cards[i]``), with
+        ``counts[i]`` and shape ``codes[i]``."""
+        rows = self.rows
+        table = self.table
+        v1 = rows.chunk_end(v0, FANOUT_CHUNK_OPS, FANOUT_CHUNK_PROBE)
+        lo = int(rows.indptr[v0])
+        bounds = rows.indptr[v0:v1 + 1] - lo
+        k = int(bounds[-1])
+        self.v0, self.v1 = v0, v1
+        self.bounds = bounds.tolist()
+        if not k:
+            return
+        self.a_rows = np.repeat(np.arange(v0, v1), rows.cards[v0:v1])
+        self.b_rows = rows.col[lo:lo + k]
+        self.ids = table.ids[self.b_rows].tolist()
+        self.cards = table.cards[self.b_rows].tolist()
+        self.counts = rows.intersect_counts(self.a_rows, self.b_rows)
+        self.codes = table.shape_codes(self.a_rows, self.b_rows).tolist()
+        cum = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=cum[1:])
+        self.sums = cum[bounds[1:]] - cum[bounds[:-1]]
+
+
+@dataclass
+class FusedFanout:
+    """Outcome of :meth:`SisaContext.fused_fanout`: each constituent's
+    burst sum and (with observability on) modeled burst cycles, and each
+    owner's stats delta."""
+
+    sums: list
+    cycles: list[float] | None
+    stats: list[DispatchStats]
 
 
 @dataclass(frozen=True)
@@ -541,42 +607,31 @@ class SisaContext:
                 if nbrs.size:
                     intersect_count_batch(set_ids[v], [set_ids[u] for u in nbrs])
 
-        Only host work is amortized.  Each chunk of consecutive tasks
-        (about :data:`FANOUT_CHUNK_OPS` instructions) computes its counts
-        with one flat probe (:class:`~repro.runtime.batch.FanoutRows`)
-        and its SMB trajectory, variant decisions and per-op costs with
-        one :meth:`~repro.isa.scu.Scu.dispatch_count_fanout`; the task
-        loop then places each task, charges its scan and its ops, and
-        feeds each burst's observations.  One kernel span covers a chunk.
+        Only host work is amortized.  Each chunk of a
+        :class:`FanoutProgram` has its SMB trajectory, variant decisions
+        and per-op costs dispatched by one
+        :meth:`~repro.isa.scu.Scu.dispatch_count_fanout`; the task loop
+        then places each task, charges its scan and its ops, and feeds
+        each burst's observations.  One kernel span covers a chunk.
         """
         n = len(set_ids)
         sums = np.zeros(n, dtype=np.int64)
         if n == 0:
             return sums
-        sm = self.sm
-        table = OperandTable(SetOp.INTERSECT_COUNT, sm.metas_of(set_ids))
-        rows = batchmod.FanoutRows(sm.values_of(set_ids), table.metas[0].universe)
-        indptr = rows.indptr
-        v0 = 0
-        while v0 < n:
-            # The chunk ends at the last task boundary within budget
-            # (or after one task, if that task alone exceeds it).
-            v1 = int(
-                np.searchsorted(indptr, indptr[v0] + FANOUT_CHUNK_OPS, side="right")
-            ) - 1
-            v1 = max(v1, v0 + 1)
-            self._fanout_chunk(table, rows, v0, v1, sums)
-            v0 = v1
+        program = FanoutProgram(self.sm, set_ids)
+        while program.v1 < n:
+            program.chunk(program.v1)
+            self._fanout_chunk(program, sums)
         return sums
 
-    def _fanout_chunk(self, table, rows, v0: int, v1: int, sums: np.ndarray) -> None:
-        """Tasks ``v0 .. v1 - 1`` of :meth:`fanout_counts`; their burst
-        sums land in ``sums[v0:v1]``."""
+    def _fanout_chunk(self, program: FanoutProgram, sums: np.ndarray) -> None:
+        """The current chunk of :meth:`fanout_counts`; its tasks' burst
+        sums land in ``sums``."""
         engine = self.engine
         scan_costs = self._scan_costs
-        lo = int(rows.indptr[v0])
-        bounds = (rows.indptr[v0:v1 + 1] - lo).tolist()
-        degrees = rows.cards[v0:v1].tolist()
+        v0, v1 = program.v0, program.v1
+        bounds = program.bounds
+        degrees = program.rows.cards[v0:v1].tolist()
         k = bounds[-1]
         if k == 0:
             for size in degrees:
@@ -585,13 +640,12 @@ class SisaContext:
             return
         obs = self.obs
         span = obs.kernel_start("intersect_fanout", k) if obs is not None else None
-        a_rows = np.repeat(np.arange(v0, v1), rows.cards[v0:v1])
-        b_rows = rows.col[lo:lo + k]
-        counts = rows.intersect_counts(a_rows, b_rows)
-        cum = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        sums[v0:v1] = cum[bounds[1:]] - cum[bounds[:-1]]
-        fd = self.scu.dispatch_count_fanout(table, a_rows, b_rows)
+        table = program.table
+        cards, counts = program.cards, program.counts
+        sums[v0:v1] = program.sums
+        fd = self.scu.dispatch_count_fanout(
+            table, program.a_rows, program.b_rows, program.codes
+        )
         compute, memory, latency = fd.compute, fd.memory, fd.latency
         trace = self.trace if self.trace.enabled else None
         span_cycles = 0.0
@@ -610,7 +664,7 @@ class SisaContext:
                     + sum(memory[i0:i1]) / engine.bytes_per_cycle
                 )
                 span_cycles += cycles
-                obs.burst(cycles, size, table.cards[b_rows[i0:i1]])
+                obs.burst(cycles, size, cards[i0:i1])
             if trace is not None:
                 for i in range(i0, i1):
                     j = fd.shape[i]
@@ -619,7 +673,7 @@ class SisaContext:
                             opcode=table.opcodes[j],
                             lane=lane,
                             size_a=size,
-                            size_b=int(table.cards[b_rows[i]]),
+                            size_b=cards[i],
                             output_size=int(counts[i]),
                             backend=table.backends[j],
                             variant=table.variants[j],
@@ -627,6 +681,105 @@ class SisaContext:
                     )
         if obs is not None:
             obs.spans.end(span, cycles=span_cycles)
+
+    def fanout_tasks(self, program: FanoutProgram) -> Iterator[tuple[int, int]]:
+        """Open ``program``'s tasks one by one, as the per-burst loop of
+        :meth:`fanout_counts` opens them (``begin_task`` and the charged
+        scan of ``N(v)``), yielding ``(v, lane)`` for every task whose
+        burst is non-empty; :meth:`fused_fanout` issues those bursts."""
+        engine = self.engine
+        scan_costs = self._scan_costs
+        for v, size in enumerate(program.rows.cards.tolist()):
+            lane = self._current_lane = engine.begin_task()
+            engine.charge(scan_costs.get(size) or self._scan_cost(size))
+            if size:
+                yield v, lane
+
+    def fused_fanout(
+        self, tasks, groups: list[int], *, include_decode: bool, enter
+    ) -> FusedFanout:
+        """A fused macro's run of fan-out constituent bursts.
+
+        ``tasks`` holds one ``(program, v, lane)`` per constituent, in
+        issue order: the count burst of task ``v`` of ``program``, whose
+        task :meth:`fanout_tasks` opened on ``lane``.  ``groups[c]``
+        numbers constituent ``c``'s owner, and ``enter(c)`` is called
+        before anything of constituent ``c`` is charged or observed (the
+        macro's dispatch counts as constituent 0's).
+
+        Modeled state ends exactly as after one :meth:`fused_count_burst`
+        per constituent, in order, each on its lane, with
+        ``include_decode`` on the first.  The counts come from the
+        programs' chunk probes, the SCU work is one
+        :meth:`~repro.isa.scu.Scu.dispatch_fused_fanout`, and each
+        constituent is charged with one ``charge_batch`` on its lane and
+        keeps its burst observations and trace events.
+        """
+        bursts = []
+        views = []
+        for program, v, __ in tasks:
+            if not program.v0 <= v < program.v1:
+                program.chunk(v)
+            t = v - program.v0
+            i0 = program.bounds[t]
+            i1 = program.bounds[t + 1]
+            bursts.append(
+                (
+                    program.table,
+                    v,
+                    program.codes[i0:i1],
+                    program.b_rows[i0:i1],
+                    program.ids[i0:i1],
+                )
+            )
+            # The chunk may be replaced by a later constituent's.
+            views.append(
+                (program.cards[i0:i1], program.counts[i0:i1], program.sums[t])
+            )
+        enter(0)
+        fd = self.scu.dispatch_fused_fanout(
+            bursts, groups, include_decode=include_decode
+        )
+        engine = self.engine
+        bpc = engine.bytes_per_cycle
+        obs = self.obs
+        trace = self.trace if self.trace.enabled else None
+        compute, memory, latency = fd.compute, fd.memory, fd.latency
+        cycles: list[float] | None = [] if obs is not None else None
+        i0 = 0
+        for c, ((program, v, lane), (cards, counts, __)) in enumerate(
+            zip(tasks, views)
+        ):
+            i1 = i0 + len(cards)
+            enter(c)
+            with engine.on_lane(lane):
+                engine.charge_batch(compute[i0:i1], memory[i0:i1], latency[i0:i1])
+            size_a = int(program.rows.cards[v])
+            if cycles is not None:
+                burst = (
+                    sum(compute[i0:i1])
+                    + sum(latency[i0:i1])
+                    + sum(memory[i0:i1]) / bpc
+                )
+                cycles.append(burst)
+                obs.burst(burst, size_a, cards)
+            if trace is not None:
+                table = program.table
+                for i, size_b, count in zip(range(i0, i1), cards, counts.tolist()):
+                    j = fd.shape[i]
+                    trace.record(
+                        TraceEvent(
+                            opcode=table.opcodes[j],
+                            lane=lane,
+                            size_a=size_a,
+                            size_b=size_b,
+                            output_size=count,
+                            backend=table.backends[j],
+                            variant=table.variants[j],
+                        )
+                    )
+            i0 = i1
+        return FusedFanout([s for __, __, s in views], cycles, fd.owners)
 
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one

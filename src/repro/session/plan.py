@@ -25,20 +25,26 @@ about to run.  The plan/execute split introduces that visibility:
     whose ``(workload, params, version)`` key another plan in the
     batch owns simply waits and reuses the value), and
   - fuses compatible count-form frontier bursts from *different* plans
-    into shared macro dispatches
-    (:meth:`~repro.runtime.context.SisaContext.fused_count_burst`) —
-    the first crossing of the ``begin_task`` boundary.
+    into shared macro dispatches — the first crossing of the
+    ``begin_task`` boundary.
 
 Fusion lane-placement rule (the explicit contract the ROADMAP's
 "cross-task batching" item asked for): every constituent burst still
-opens its own task at unit-creation time and its per-op model costs
-land on that task's lane, exactly as unfused; what the macro elides is
-the per-op SCU decode and the per-op probe-metadata fetch — the macro
-decode is charged once, to the lane (and tenant) of the macro's first
-constituent, and each constituent's probe lookup once, to its own
-lane.  Burst fusion is an SCU capability: on the ``cpu-set`` host
-baseline the executor falls back to the unfused batched stream
-(prep sharing and dedup still apply).
+opens its own task when the executor reaches it and its per-op model
+costs land on that task's lane, exactly as unfused; what the macro
+elides is the per-op SCU decode and the per-op probe-metadata fetch —
+the macro decode is charged once, to the lane (and tenant) of the
+macro's first constituent, and each constituent's probe lookup once, to
+its own lane.  A macro's constituents are issued in buffer order: each
+run of consecutive neighbourhood fan-out tasks
+(:class:`FanoutStep`) as one
+:meth:`~repro.runtime.context.SisaContext.fused_fanout` call over the
+stages' chunked :class:`~repro.runtime.context.FanoutProgram` objects, every
+other burst (:class:`BurstUnit`) through
+:meth:`~repro.runtime.context.SisaContext.fused_count_burst`.  Burst
+fusion is an SCU capability: on the ``cpu-set`` host baseline the
+executor falls back to the unfused batched stream (prep sharing and
+dedup still apply).
 
 Per-plan accounting under fusion uses the engine's per-tenant marks
 (:meth:`~repro.hw.engine.ExecutionEngine.set_tenant`): every execution
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from repro.errors import (
     ReproError,
     SisaError,
 )
+from repro.runtime.context import FanoutProgram
 from repro.serving.validation import validate_request
 from repro.session.cache import canonical_param, isolate_output
 from repro.session.registry import WorkloadSpec
@@ -78,10 +85,14 @@ class BurstUnit:
     Produced lazily by a burst stage's generator, which has already
     opened the unit's task (``lane``) and paid any charged pre-work
     (e.g. the neighborhood iterator).  The executor runs the burst —
-    unfused via ``*_count_batch`` or as a fused-macro constituent — and
+    unfused via ``*_count_batch`` or as a fused-macro constituent
+    (:meth:`~repro.runtime.context.SisaContext.fused_count_burst`) — and
     hands the counts to ``sink``, which performs the remaining charged
     work of the task (e.g. cardinality fetches) and folds the counts
-    into the stage state.
+    into the stage state.  Fused execution of a :class:`Fanout` stage
+    buffers :class:`FanoutStep` records instead; its units serve the
+    scheduled, parallel and ``cpu-set`` paths, which issue bursts one
+    at a time.
     """
 
     a: int
@@ -96,6 +107,19 @@ class BurstUnit:
     writes: tuple[str, ...] = ()
 
 
+class FanoutStep(NamedTuple):
+    """One task of a :class:`Fanout` stage under fused execution, opened
+    (``begin_task`` and the charged scan of ``N(v)``) on ``lane``; its
+    burst is issued when the executor flushes the macro, and ``sink(v,
+    s)`` folds the burst sum ``s`` into the stage state."""
+
+    program: FanoutProgram
+    v: int
+    lane: int
+    sink: Callable[[int, Any], None]
+    kind: str = "intersect"
+
+
 @dataclass(frozen=True)
 class Fanout:
     """A burst stage's neighbourhood fan-out, declared once.
@@ -107,14 +131,16 @@ class Fanout:
     in ``state[slot]``; ``fold(state, v, s)`` folds the burst sums ``s``
     (NumPy integers) of vertices ``v`` into it.
 
-    Both execution forms derive from this one declaration.
-    :meth:`run` executes the whole stage as one
-    :meth:`~repro.runtime.context.SisaContext.fanout_counts` program and
-    folds every vertex at once (``v``/``s`` aligned arrays);
-    :meth:`units` yields one :class:`BurstUnit` per non-empty
-    neighbourhood, whose sink folds that vertex alone (``v``/``s``
-    scalars), for the fused, scheduled and parallel executors.  The two
-    issue the same instruction stream.
+    Every execution form derives from this one declaration and issues
+    the same instruction stream.  :meth:`run` executes the whole stage
+    as one :meth:`~repro.runtime.context.SisaContext.fanout_counts`
+    program and folds every vertex at once (``v``/``s`` aligned
+    arrays).  :meth:`steps` opens the tasks one by one for the fused
+    executor, which issues their bursts macro by macro over the same
+    chunked program.  :meth:`units` yields one :class:`BurstUnit` per
+    non-empty neighbourhood for the scheduled and parallel executors and
+    the ``cpu-set`` fallback.  The last two fold one vertex at a time
+    (``v``/``s`` scalars).
     """
 
     structure: str
@@ -131,6 +157,18 @@ class Fanout:
         sums = session.ctx.fanout_counts(self.setgraph(session).set_ids)
         self.init(state, sums.size)
         self.fold(state, np.arange(sums.size), sums)
+
+    def steps(self, session, state: dict) -> Iterator[FanoutStep]:
+        ctx = session.ctx
+        program = FanoutProgram(ctx.sm, self.setgraph(session).set_ids)
+        fold = self.fold
+        self.init(state, program.size)
+
+        def sink(v, s):
+            fold(state, v, s)
+
+        for v, lane in ctx.fanout_tasks(program):
+            yield FanoutStep(program, v, lane, sink)
 
     def units(self, session, state: dict) -> Iterator[BurstUnit]:
         ids = self.setgraph(session).set_ids
@@ -159,8 +197,8 @@ class Fanout:
 def fanout_stage(label: str, key: tuple | None, fanout: Fanout) -> "PlanStage":
     """The burst stage that executes ``fanout`` and yields
     ``state[fanout.slot]``: it reads the fan-out's SetGraph, writes (or,
-    when deduped, seeds) the slot, and runs as one program on the
-    sequential path and as per-vertex units elsewhere."""
+    when deduped, seeds) the slot, and runs as one chunked program on
+    the sequential and fused paths and as per-vertex units elsewhere."""
     slot = fanout.slot
     return PlanStage(
         kind="bursts",
@@ -215,8 +253,9 @@ class PlanStage:
     seed: Callable[[dict, Any], None] | None = None
     writes: tuple[str, ...] = ()  # effect tokens executing the stage mutates
     seeds: tuple[str, ...] = ()  # state slots the seed hook installs
-    # A whole-graph fan-out the sequential executor runs as one program
-    # (``units`` then derives from it; see fanout_stage).
+    # A whole-graph fan-out the sequential and fused executors run as
+    # one chunked program (``units`` then derives from it; see
+    # fanout_stage).
     fanout: Fanout | None = None
 
 
@@ -376,7 +415,7 @@ class _PlanRun:
         self.output: Any = None
         self.cache_key: tuple | None = None
         self.owns_key = False
-        self.gen: Iterator[BurstUnit] | None = None
+        self.gen: Iterator[BurstUnit | FanoutStep] | None = None
         self.stats = None  # DispatchStats accumulator (set on start)
         self.registrations = 0
         # Observability (None when disabled): the plan's detached span,
@@ -690,10 +729,10 @@ class PlanExecutor:
     @contextmanager
     def _attribute(self, run: _PlanRun):
         """Cycle-only attribution for slices that cannot dispatch SISA
-        instructions — the per-unit generator pulls (``begin_task`` +
-        neighborhood iterator charge the engine but record no stats and
-        register no sets), where a full stats snapshot per vertex would
-        dominate the fused path's Python time."""
+        instructions: the generator pulls that open a burst's task
+        (``begin_task`` and the neighborhood scan charge the engine but
+        record no stats and register no sets), which need no stats
+        snapshot."""
         engine = self.session.ctx.engine
         engine.set_tenant(run.tag)
         try:
@@ -1081,7 +1120,10 @@ class PlanExecutor:
                     run.tag
                 )
             with self._attribute(run):
-                run.gen = stage.units(self.session, run.state)
+                if self._fuse_bursts and stage.fanout is not None:
+                    run.gen = stage.fanout.steps(self.session, run.state)
+                else:
+                    run.gen = stage.units(self.session, run.state)
         with self._attribute(run):
             unit = next(run.gen, None)
         if unit is None:
@@ -1123,9 +1165,11 @@ class PlanExecutor:
         run.finished = True
 
     def _flush(self, buffer) -> None:
-        """Issue every buffered unit as fused macros (one macro per
-        maximal same-kind group; the first constituent carries the
-        macro decode)."""
+        """Issue every buffered burst as fused macros: one macro per
+        maximal same-kind group, whose first constituent carries the
+        macro decode.  Within a macro, each run of consecutive
+        :class:`FanoutStep` records is one :meth:`_flush_fanout` call and
+        every :class:`BurstUnit` one attributed slice, in buffer order."""
         if not buffer:
             return
         ctx = self.session.ctx
@@ -1137,12 +1181,69 @@ class PlanExecutor:
             first = True
             while j < n and buffer[j][0].kind == kind:
                 unit, run = buffer[j]
-                with self._slice(run), ctx.on_lane(unit.lane):
-                    counts = ctx.fused_count_burst(
-                        unit.a, unit.bs, kind=kind, include_decode=first
-                    )
-                    unit.sink(counts)
+                if type(unit) is FanoutStep:
+                    k = j + 1
+                    while k < n and type(buffer[k][0]) is FanoutStep:
+                        k += 1
+                    self._flush_fanout(buffer[j:k], first)
+                    j = k
+                else:
+                    with self._slice(run), ctx.on_lane(unit.lane):
+                        counts = ctx.fused_count_burst(
+                            unit.a, unit.bs, kind=kind, include_decode=first
+                        )
+                        unit.sink(counts)
+                    j += 1
                 first = False
-                j += 1
             i = j
         buffer.clear()
+
+    def _flush_fanout(self, steps, include_decode: bool) -> None:
+        """Issue a macro's run of fan-out steps with one
+        :meth:`~repro.runtime.context.SisaContext.fused_fanout` call.
+
+        Attribution is per plan and per macro rather than per slice:
+        each step's charges land under its plan's tenant, each plan's
+        stats take one delta, and (with observability on) each plan gets
+        one kernel span carrying the sum of its bursts' cycles."""
+        session = self.session
+        engine = session.ctx.engine
+        obs = getattr(session, "obs", None)
+        runs = [run for __, run in steps]
+        owners: dict[_PlanRun, int] = {}
+        groups = [owners.setdefault(run, len(owners)) for run in runs]
+
+        def enter(c):
+            run = runs[c]
+            engine.set_tenant(run.tag)
+            if obs is not None:
+                obs.set_context(run.plan.tenant or "default", run.plan.name)
+
+        try:
+            macro = session.ctx.fused_fanout(
+                [(step.program, step.v, step.lane) for step, __ in steps],
+                groups,
+                include_decode=include_decode,
+                enter=enter,
+            )
+        finally:
+            engine.set_tenant(None)
+        for (step, __), s in zip(steps, macro.sums):
+            step.sink(step.v, s)
+        for run, stats in zip(owners, macro.stats):
+            run.stats.add(stats)
+        if obs is None:
+            return
+        for run, g in owners.items():
+            ops = 0
+            cycles = 0.0
+            for (step, __), owner, burst in zip(steps, groups, macro.cycles):
+                if owner == g:
+                    ops += step.program.rows.cards[step.v]
+                    cycles += burst
+            parent = run.stage_span or run.span
+            if parent is not None:
+                obs.spans.enter(parent)
+            obs.spans.end(obs.kernel_start("fused_intersect", int(ops)), cycles=cycles)
+            if parent is not None:
+                obs.spans.exit(parent)

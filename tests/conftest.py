@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import gnp_random_graph
+from repro.hw.config import HardwareConfig
 
 
 @pytest.fixture
@@ -45,3 +46,53 @@ def random_edge_list(n: int, m: int, seed: int) -> np.ndarray:
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
     return np.column_stack([src, dst])
+
+
+#: Machines for the bit-identity oracles: SMB off, SMB of one and two
+#: entries, the default, and non-dyadic latencies.
+MACHINES = {
+    "smb-off": {"smb_enabled": False},
+    "smb-1": {"hw": HardwareConfig(smb_entries=1)},
+    "smb-2": {"hw": HardwareConfig(smb_entries=2)},
+    "default": {},
+    # Non-dyadic latencies: per-op cost sums depend on the order of
+    # the float additions, which must match the per-burst path's.
+    "float-order": {
+        "hw": HardwareConfig(
+            scu_dispatch_cycles=0.1, sm_hit_cycles=0.3, pnm_random_access_ns=1.7
+        )
+    },
+}
+
+
+def machine_state(ctx):
+    """Everything an instruction stream may touch on ``ctx``, in
+    comparable form: engine lanes and lane-time cache, current lane,
+    SMB order and counters, stats and ``by_opcode`` order, decision-memo
+    keys, trace events and, with observability on, the metrics registry
+    (series in order, wall-clock families left out) and the set-size
+    histograms."""
+    engine = ctx.engine
+    scu = ctx.scu
+    state = {
+        "lanes": [
+            (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
+            for lane in engine._lanes
+        ],
+        "lane_times": list(engine._lane_times),
+        "current_lane": (engine._current, ctx._current_lane),
+        "smb_order": list(scu.smb._entries),
+        "smb_stats": scu.smb.stats,
+        "stats": scu.stats,
+        "by_opcode_order": list(scu.stats.by_opcode),
+        "memo_keys": list(scu._decision_memo),
+        "trace": ctx.trace.events,
+    }
+    if ctx.obs is not None:
+        state["metrics"] = {
+            name: {**family, "series": list(family["series"].items())}
+            for name, family in ctx.obs.registry.snapshot().items()
+            if "wall" not in name
+        }
+        state["set_sizes"] = {k: h.as_dict() for k, h in ctx.obs.set_sizes.items()}
+    return state

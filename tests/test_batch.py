@@ -36,7 +36,6 @@ from repro.baselines.nonset import (
     triangle_count_nonset,
 )
 from repro.graphs.generators import gnp_random_graph, kronecker_graph
-from repro.hw.config import HardwareConfig
 from repro.observability import Observability
 from repro.runtime import batch as batchmod
 from repro.runtime import context as contextmod
@@ -47,6 +46,8 @@ from repro.sets import kernels
 from repro.sets.bitops import _popcount_unpackbits, popcount
 from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
+
+from conftest import MACHINES, machine_state
 
 UNIVERSE = 96
 
@@ -410,47 +411,10 @@ def _fanout_reference(ctx, ids):
     return sums
 
 
-def _machine_state(ctx):
-    """Everything the fan-out may touch, in comparable form."""
-    engine = ctx.engine
-    scu = ctx.scu
-    return {
-        "lanes": [
-            (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
-            for lane in engine._lanes
-        ],
-        "lane_times": list(engine._lane_times),
-        "current_lane": (engine._current, ctx._current_lane),
-        "smb_order": list(scu.smb._entries),
-        "smb_stats": scu.smb.stats,
-        "stats": scu.stats,
-        "by_opcode_order": list(scu.stats.by_opcode),
-        "memo_keys": list(scu._decision_memo),
-        "trace": ctx.trace.events,
-        "metrics": ctx.obs.registry.snapshot(),
-        "set_sizes": {k: h.as_dict() for k, h in ctx.obs.set_sizes.items()},
-    }
-
-
-_MACHINES = {
-    "smb-off": {"smb_enabled": False},
-    "smb-1": {"hw": HardwareConfig(smb_entries=1)},
-    "smb-2": {"hw": HardwareConfig(smb_entries=2)},
-    "default": {},
-    # Non-dyadic latencies: per-op cost sums depend on the order of
-    # the float additions, which must match the per-burst path's.
-    "float-order": {
-        "hw": HardwareConfig(
-            scu_dispatch_cycles=0.1, sm_hit_cycles=0.3, pnm_random_access_ns=1.7
-        )
-    },
-}
-
-
 def _fanout_run(graph, fanout, *, oriented, t, unsorted, machine, **config):
     """One fresh context: build the SetGraph, run the fan-out either way."""
     ctx = SisaContext(
-        trace=True, observability=Observability(), **_MACHINES[machine], **config
+        trace=True, observability=Observability(), **MACHINES[machine], **config
     )
     if oriented:
         __, sg = oriented_setgraph(graph, ctx, t=t)
@@ -465,7 +429,7 @@ def _fanout_run(graph, fanout, *, oriented, t, unsorted, machine, **config):
             if isinstance(value, SparseArray) and value.cardinality > 1:
                 ctx.sm.update(ids[v], value.shuffled(v))
     counts = ctx.fanout_counts(ids) if fanout else _fanout_reference(ctx, ids)
-    return counts, _machine_state(ctx)
+    return counts, machine_state(ctx)
 
 
 class TestFanoutCounts:
@@ -492,7 +456,7 @@ class TestFanoutCounts:
         p=st.floats(min_value=0.05, max_value=0.6),
         seed=st.integers(min_value=0, max_value=2**16),
         mode=st.sampled_from(MODES),
-        machine=st.sampled_from(sorted(_MACHINES)),
+        machine=st.sampled_from(sorted(MACHINES)),
         threads=st.sampled_from([1, 4, 32]),
         t=st.sampled_from([0.0, 0.4, 1.0]),
         gallop=st.sampled_from([None, 2.0]),

@@ -17,17 +17,29 @@ Contracts under test:
   stream,
 * ``SessionPool`` shares SCU decision memos bit-identically, evicts
   sessions LRU, schedules tenants round-robin and accounts modeled
-  cycles per tenant.
+  cycles per tenant,
+* the fused executor's chunked fan-out programs leave every result,
+  ledger and piece of machine state exactly as the per-unit bursts the
+  same stages declare, strict and hardened.
 """
+
+import dataclasses
+import gc
+import tracemalloc
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.static.smoke import SOAK_WORKLOADS
 from repro.errors import ConfigError, SisaError
-from repro.graphs.generators import chung_lu_graph, gnp_random_graph
-from repro.graphs.streams import EdgeBatch, canonical_edges
+from repro.graphs.csr import CSRGraph
+from repro.graphs.generators import chung_lu_graph, gnp_random_graph, kronecker_graph
+from repro.graphs.streams import EdgeBatch, canonical_edges, churn_stream
+from repro.runtime import context as contextmod
+from repro.serving import FaultInjector, RetryPolicy
 from repro.session import (
     ExecutionConfig,
     PlanExecutor,
@@ -35,6 +47,9 @@ from repro.session import (
     SisaSession,
     WorkloadPlan,
 )
+from repro.session.result import FailedResult
+
+from conftest import MACHINES, machine_state
 
 
 def _graph(seed=3, n=60, p=0.12):
@@ -595,3 +610,240 @@ class TestInvalidation:
         (rerun,) = session.run_many(["clustering_coefficient"], fuse=True)
         assert not rerun.cached
         assert rerun.instructions > 0
+
+
+# ---------------------------------------------------------------------------
+# Fused fan-out programs
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _per_unit_fanouts():
+    """Compile every plan with its stages' fan-out declarations
+    stripped, so fused execution issues one ``BurstUnit`` per vertex.
+    Stripping at compile time keeps recompiles after drift stripped."""
+    init = WorkloadPlan.__init__
+
+    def stripped(self, session, spec, params, stages, **kwargs):
+        stages = [dataclasses.replace(stage, fanout=None) for stage in stages]
+        init(self, session, spec, params, stages, **kwargs)
+
+    WorkloadPlan.__init__ = stripped
+    try:
+        yield
+    finally:
+        WorkloadPlan.__init__ = init
+
+
+@contextmanager
+def _chunk_budgets(ops, probe):
+    saved = contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE
+    contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = ops, probe
+    try:
+        yield
+    finally:
+        contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = saved
+
+
+def _fanout_mix(n):
+    """Fan-out stages, dedup, call stages that flush partial macros, and
+    burst units sharing macros with fan-out constituents."""
+    pairs = _watchlist(n, 12) if n > 2 else np.asarray([[0, 1]])
+    return [
+        *SOAK_WORKLOADS,
+        ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}),
+        ("similarity_pairs", {"pairs": pairs, "measure": "total_neighbors"}),
+    ]
+
+
+def _result_state(result):
+    if isinstance(result, FailedResult):
+        return (result.workload, result.reason, result.attempts, result.retry_cycles)
+    return (
+        result.workload,
+        repr(result.output),
+        result.report.lane_times,
+        result.runtime_cycles,
+        result.report.tasks,
+        result.stats,
+        list(result.stats.by_opcode),
+        result.registrations,
+        result.cached,
+    )
+
+
+def _strict_run(graph, batch, *, per_unit, rounds, fuse_width, **config):
+    with _per_unit_fanouts() if per_unit else nullcontext():
+        pool = SessionPool(ExecutionConfig(**config), fuse_width=fuse_width)
+        session = pool.session("g", graph)
+        results = []
+        for __ in range(rounds):
+            for tenant, name, params in batch:
+                pool.submit("g", name, tenant=tenant, **params)
+            results += [_result_state(r) for r in pool.run()]
+    return results, (pool.tenant_cycles, pool.tenant_runs), machine_state(session.ctx)
+
+
+def _assert_fanouts_exact(graph, batch, **kwargs):
+    """One fused batch on two fresh pools, chunked fan-out programs
+    against per-unit bursts: every result, ledger and machine-state
+    field must match."""
+    got = _strict_run(graph, batch, per_unit=False, **kwargs)
+    expected = _strict_run(graph, batch, per_unit=True, **kwargs)
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
+    for field, value in expected[2].items():
+        assert got[2][field] == value, field
+
+
+class TestFusedFanout:
+    """The fused executor runs fan-out stages as chunked programs
+    (``SisaContext.fused_fanout``); the per-unit ``BurstUnit`` path the
+    same declarations yield is the oracle."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=36),
+        p=st.floats(min_value=0.05, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        picks=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 2)),
+            min_size=1,
+            max_size=9,
+        ),
+        fuse_width=st.sampled_from([1, 3, 8]),
+        threads=st.sampled_from([1, 4, 32]),
+        machine=st.sampled_from(sorted(MACHINES)),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        observability=st.booleans(),
+        trace=st.booleans(),
+        result_cache=st.booleans(),
+        budgets=st.sampled_from([(1, 1), (7, 40), (1024, 16384)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_unit_bursts(
+        self, n, p, seed, picks, fuse_width, threads, machine, t,
+        observability, trace, result_cache, budgets,
+    ):
+        graph = gnp_random_graph(n, p, seed=seed)
+        mix = _fanout_mix(n)
+        batch = [(f"tenant-{who}", *mix[i]) for i, who in picks]
+        with _chunk_budgets(*budgets):
+            _assert_fanouts_exact(
+                graph,
+                batch,
+                rounds=2,
+                fuse_width=fuse_width,
+                threads=threads,
+                t=t,
+                trace=trace,
+                observability=observability,
+                result_cache=result_cache,
+                **MACHINES[machine],
+            )
+
+    @pytest.mark.parametrize("observability", [False, True])
+    def test_graph_without_edges(self, observability):
+        graph = CSRGraph.from_edges(12, np.zeros((0, 2), dtype=np.int64))
+        batch = [("tenant-0", name, params) for name, params in _fanout_mix(12)]
+        _assert_fanouts_exact(
+            graph,
+            batch,
+            rounds=1,
+            fuse_width=8,
+            threads=8,
+            trace=True,
+            observability=observability,
+        )
+
+    @pytest.mark.parametrize(
+        "fuse_width, machine", [(8, "default"), (3, "float-order"), (8, "smb-2")]
+    )
+    def test_crosses_chunk_boundaries(self, fuse_width, machine):
+        """Eight tenants of the soak mix on a Kronecker graph whose
+        fan-outs span several chunks, interleaving two programs."""
+        graph = kronecker_graph(9, 8, seed=0)
+        assert graph.edge_array().shape[0] > contextmod.FANOUT_CHUNK_OPS
+        batch = [
+            (f"tenant-{t}", name, params)
+            for t in range(8)
+            for name, params in SOAK_WORKLOADS
+        ]
+        _assert_fanouts_exact(
+            graph,
+            batch,
+            rounds=1,
+            fuse_width=fuse_width,
+            threads=32,
+            trace=True,
+            observability=True,
+            result_cache=False,
+            **MACHINES[machine],
+        )
+
+    def test_warm_soak_working_set(self):
+        """Fan-outs work chunk by chunk under both budgets, so a warm
+        strict fused soak batch's transient memory stays within 1.5 MiB
+        (hubs cannot inflate the chunk probe)."""
+        pool = SessionPool(ExecutionConfig(threads=32, result_cache=False))
+        pool.session("g", kronecker_graph(9, 8, seed=0))
+
+        def soak():
+            for name, params in SOAK_WORKLOADS:
+                pool.submit("g", name, tenant="tenant-0", **params)
+            pool.run()
+
+        soak()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, __ = tracemalloc.get_traced_memory()
+            soak()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.5 * 2**20
+
+    @staticmethod
+    def _hardened_run(graph, stream, per_unit, seed):
+        with _per_unit_fanouts() if per_unit else nullcontext():
+            pool = SessionPool(
+                ExecutionConfig(threads=8),
+                retry=RetryPolicy(max_retries=4),
+                observability=True,
+            )
+            session = pool.session("g", graph)
+            session.attach_stream()
+            session.maintain_orientation()
+            results = []
+            for epoch, edges in enumerate(stream.batches):
+                session.stream.apply_batch(edges)
+                pool.fault_injector = FaultInjector(
+                    seed + epoch,
+                    max_per_kind=2,
+                    drift_rate=0.08,
+                    cache_rate=0.35,
+                    kernel_rate=0.2,
+                    orientation_rate=0.15,
+                )
+                for t in range(3):
+                    for name, params in _fanout_mix(graph.num_vertices):
+                        pool.submit("g", name, tenant=f"tenant-{t}", **params)
+                results += [_result_state(r) for r in pool.run()]
+        ledgers = (pool.tenant_cycles, pool.tenant_retry_cycles, pool.tenant_runs)
+        return results, ledgers, pool.health(), machine_state(session.ctx)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_hardened_soak_over_churn(self, seed):
+        """Retry, seeded faults (drift, cache corruption, orientation
+        desync, kernel faults) and real churned edge batches."""
+        graph = gnp_random_graph(48, 0.12, seed=seed)
+        stream = churn_stream(graph, churn=0.05, num_batches=3, seed=seed)
+        got = self._hardened_run(graph, stream, False, seed)
+        expected = self._hardened_run(graph, stream, True, seed)
+        health = got[2]
+        assert health.retries > 0 and health.drift_recompiles > 0
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+        assert got[2] == expected[2]
+        for field, value in expected[3].items():
+            assert got[3][field] == value, field

@@ -417,10 +417,8 @@ def replay_certified(
     schedule: CertifiedSchedule | None = None,
     *,
     lanes: int = 4,
-    fuse_width: int = 8,
     order: tuple[int, ...] | None = None,
     seed: int | None = None,
-    fault_injector=None,
 ):
     """Certify (when no schedule is given), instrument, replay, detect.
 
@@ -435,19 +433,13 @@ def replay_certified(
     from repro.session.plan import PlanExecutor
 
     if schedule is None:
-        schedule = certify_schedule(plans, lanes=lanes, fuse_width=fuse_width)
+        schedule = certify_schedule(plans, lanes=lanes)
     if order is not None:
         schedule = schedule.with_order(order)
     elif seed is not None:
         schedule = schedule.with_order(schedule.random_topological_order(seed))
     log = AccessLog()
     with instrument_session(session, log):
-        executor = PlanExecutor(
-            session,
-            fuse_width=fuse_width,
-            fault_injector=fault_injector,
-            schedule=schedule,
-            access_log=log,
-        )
+        executor = PlanExecutor(session, schedule=schedule, access_log=log)
         results = executor.execute(plans)
     return results, find_races(schedule, log), log

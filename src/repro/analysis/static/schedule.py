@@ -489,7 +489,6 @@ def certify_schedule(
     plans: list,
     *,
     lanes: int = 4,
-    fuse_width: int = 8,
     report: AnalysisReport | None = None,
     merge_cycles_per_edge: float = MERGE_CYCLES_PER_EDGE,
 ) -> CertifiedSchedule:
@@ -511,7 +510,7 @@ def certify_schedule(
             "certifies one schedule per session"
         )
     if report is None:
-        report = analyze_batch(plans, fuse_width=fuse_width)
+        report = analyze_batch(plans)
     if not report.certified:
         raise HazardError(
             f"cannot schedule an uncertified batch: {report.summary()}",

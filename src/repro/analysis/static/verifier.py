@@ -125,19 +125,12 @@ def _plan_id(index: int, plan) -> str:
 class PlanVerifier:
     """Certifies a batch of compiled plans conflict-free.
 
-    ``fuse_width`` is recorded for the report (the buffer bound does
-    not change legality — any two cross-plan units may share a macro
-    at any width ≥ 2, so certification is width-independent).
+    Certification is independent of the fusion width: any two
+    cross-plan units may share a macro at any width ≥ 2.
     """
-
-    def __init__(self, *, fuse_width: int = 8):
-        self.fuse_width = fuse_width
-
-    # ------------------------------------------------------------------
 
     def analyze(self, plans: list) -> AnalysisReport:
         report = AnalysisReport()
-        report.checks["fuse_width"] = self.fuse_width
         by_session: dict[int, list[tuple[str, Any]]] = {}
         order: list[Any] = []
         for i, plan in enumerate(plans):
@@ -394,7 +387,7 @@ def _same_key(stage_a, plan_a, stage_b, plan_b) -> bool:
     return (*stage_a.key, plan_a.version) == (*stage_b.key, plan_b.version)
 
 
-def analyze_batch(plans: list, *, fuse_width: int = 8) -> AnalysisReport:
+def analyze_batch(plans: list) -> AnalysisReport:
     """Statically certify a batch of compiled plans conflict-free.
 
     Pure host-side analysis: no instructions dispatch, no structures
@@ -403,4 +396,4 @@ def analyze_batch(plans: list, *, fuse_width: int = 8) -> AnalysisReport:
     ``pool.run(verify=True)``, which raise
     :class:`~repro.errors.HazardError` when certification fails.
     """
-    return PlanVerifier(fuse_width=fuse_width).analyze(list(plans))
+    return PlanVerifier().analyze(list(plans))

@@ -176,6 +176,12 @@ def churn_stream(
     for _ in range(num_batches):
         live_keys = np.asarray(sorted(live), dtype=np.int64)
         drop = live_keys[rng.choice(live_keys.size, size=min(k, live_keys.size), replace=False)]
+        absent = n * (n - 1) // 2 - len(live)
+        if absent < drop.size:
+            raise GraphError(
+                f"cannot churn {drop.size} edges: only {absent} vertex "
+                "pairs are absent"
+            )
         inserts: list[int] = []
         insert_set: set[int] = set()
         while len(inserts) < drop.size:

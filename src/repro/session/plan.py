@@ -16,7 +16,8 @@ about to run.  The plan/execute split introduces that visibility:
   ``fuse=False`` it executes the plans strictly in order, issuing an
   instruction stream bit-identical to sequential ``session.run`` calls
   (outputs, simulated cycles, dispatch stats — asserted in tests and
-  benchmarks).  With ``fuse=True`` it additionally
+  benchmarks).  With ``fuse=True`` it steps the plans round-robin
+  through one step loop and additionally
 
   - shares prep once per graph (the first plan needing a cached
     structure builds it; all others find it built),
@@ -25,8 +26,12 @@ about to run.  The plan/execute split introduces that visibility:
     whose ``(workload, params, version)`` key another plan in the
     batch owns simply waits and reuses the value), and
   - fuses compatible count-form frontier bursts from *different* plans
-    into shared macro dispatches — the first crossing of the
-    ``begin_task`` boundary.
+    into shared macro dispatches of at most :data:`FUSE_WIDTH` bursts —
+    the first crossing of the ``begin_task`` boundary.
+
+  Given a certified schedule, the executor replays the batch node by
+  node in the schedule's order on the same step loop, with burst fusion
+  off.
 
 Fusion lane-placement rule (the explicit contract the ROADMAP's
 "cross-task batching" item asked for): every constituent burst still
@@ -76,6 +81,9 @@ from repro.session.registry import WorkloadSpec
 from repro.session.result import FailedResult, RunResult
 
 BURST_KINDS = ("intersect", "union", "difference")
+
+#: The most bursts one fused macro carries (the fusion buffer bound).
+FUSE_WIDTH = 8
 
 
 @dataclass
@@ -414,7 +422,6 @@ class _PlanRun:
         self.cached = False
         self.output: Any = None
         self.cache_key: tuple | None = None
-        self.owns_key = False
         self.gen: Iterator[BurstUnit | FanoutStep] | None = None
         self.stats = None  # DispatchStats accumulator (set on start)
         self.registrations = 0
@@ -434,8 +441,9 @@ class PlanExecutor:
     sequential ``session.run`` call would have produced (``session.run``
     itself is a one-plan wrapper over this mode).  ``fuse=True`` enables
     shared prep, result-cache sub-request dedup and cross-plan burst
-    fusion; ``fuse_width`` bounds how many buffered units one fused
-    macro may carry.
+    fusion; one fused macro carries at most :data:`FUSE_WIDTH` buffered
+    bursts.  With a ``schedule`` the batch replays node by node on the
+    same step loop (:meth:`_advance`), bursts unfused.
     """
 
     def __init__(
@@ -443,21 +451,17 @@ class PlanExecutor:
         session,
         *,
         fuse: bool = True,
-        fuse_width: int = 8,
         fault_injector=None,
         verify: bool = False,
         schedule=None,
         access_log=None,
     ):
-        if fuse_width < 1:
-            raise ConfigError("fuse_width must be positive")
         if access_log is not None and schedule is None:
             raise ConfigError(
                 "an access_log needs a schedule to attribute accesses to"
             )
         self.session = session
         self.fuse = fuse
-        self.fuse_width = fuse_width
         # verify=True runs the static hazard verifier over every batch
         # before execution and raises HazardError on certification
         # failure; the report is kept on ``last_analysis`` either way.
@@ -466,9 +470,9 @@ class PlanExecutor:
         # A CertifiedSchedule (repro.analysis.static.schedule): execute
         # the batch in the schedule's explicit topological node order —
         # the replay mode the certifier's bit-identity guarantee is
-        # proven against.  Overrides fuse (node isolation is the point;
-        # whole-plan and stage-key dedup still apply, driven by the
-        # schedule's dedup edges).  With an AccessLog
+        # proven against.  Turns burst fusion off (node isolation is the
+        # point; whole-plan and stage-key dedup still apply, driven by
+        # the schedule's dedup edges).  With an AccessLog
         # (repro.analysis.static.racecheck) every node's execution is
         # bracketed so shared-structure hooks attribute to it.
         self.schedule = schedule
@@ -478,7 +482,9 @@ class PlanExecutor:
         self.fault_injector = fault_injector
         # Burst fusion needs the SCU; the host baseline executes the
         # unfused batched stream (dedup/prep sharing still apply).
-        self._fuse_bursts = fuse and session.ctx.mode == "sisa"
+        self._fuse_bursts = (
+            fuse and schedule is None and session.ctx.mode == "sisa"
+        )
         self._done: dict[tuple, Any] = {}
         self._owners: dict[tuple, _PlanRun] = {}
 
@@ -524,7 +530,7 @@ class PlanExecutor:
             # execution time and imports nothing from the hot path.
             from repro.analysis.static.verifier import analyze_batch
 
-            report = analyze_batch(plans, fuse_width=self.fuse_width)
+            report = analyze_batch(plans)
             self.last_analysis = report
             if not report.certified:
                 raise HazardError(
@@ -538,10 +544,12 @@ class PlanExecutor:
                     "the certified schedule was built for a different plan "
                     "batch (workloads or stage lists differ); re-certify"
                 )
-            return self._execute_scheduled(plans)
+            return self._execute_batch(
+                plans, self._execute_scheduled, scheduled=True
+            )
         if not self.fuse:
             return [self._execute_sequential(plan) for plan in plans]
-        return self._execute_fused(plans)
+        return self._execute_batch(plans, self._execute_fused, fused=True)
 
     def execute_isolated(
         self, plans: list[WorkloadPlan]
@@ -559,7 +567,6 @@ class PlanExecutor:
             sub = PlanExecutor(
                 self.session,
                 fuse=self.fuse,
-                fuse_width=self.fuse_width,
                 fault_injector=self.fault_injector,
                 verify=self.verify,
             )
@@ -657,10 +664,7 @@ class PlanExecutor:
                     value = stage.result(state)
                 else:
                     for unit in stage.units(session, state):
-                        counts = getattr(ctx, f"{unit.kind}_count_batch")(
-                            unit.a, unit.bs
-                        )
-                        unit.sink(counts)
+                        unit.sink(self._counts(unit))
                     value = stage.result(state)
                 if rec is not None:
                     rec.end(sspan, cycles=ctx.engine.work_cycles() - w0)
@@ -740,10 +744,20 @@ class PlanExecutor:
         finally:
             engine.set_tenant(None)
 
-    def _execute_fused(self, plans: list[WorkloadPlan]) -> list[RunResult]:
+    def _execute_batch(
+        self,
+        plans: list[WorkloadPlan],
+        drive: Callable[[list[_PlanRun]], None],
+        **mode: bool,
+    ) -> list[RunResult]:
+        """Set up one :class:`_PlanRun` per plan, let ``drive`` execute
+        them, and build each plan's :class:`RunResult` from its tenant
+        marks; ``mode`` is the result's mode flag (``fused=True`` or
+        ``scheduled=True``)."""
         from repro.isa.scu import DispatchStats
 
         session = self.session
+        engine = session.ctx.engine
         obs = getattr(session, "obs", None)
         rec = obs.spans if obs is not None else None
         # Interleaved plans get detached spans under whatever span is
@@ -752,30 +766,11 @@ class PlanExecutor:
         self._span_parent = rec.current if rec is not None else None
         runs = []
         for i, plan in enumerate(plans):
-            tag = ("plan", i, plan.name)
-            run = _PlanRun(plan, tag)
+            run = _PlanRun(plan, ("plan", i, plan.name))
             run.stats = DispatchStats()
             runs.append(run)
-        buffer: list[tuple[BurstUnit, _PlanRun]] = []
-        engine = session.ctx.engine
         try:
-            pending = list(runs)
-            while pending:
-                progressed = False
-                still = []
-                for run in pending:
-                    progressed |= self._advance(run, buffer)
-                    if not run.finished:
-                        still.append(run)
-                pending = still
-                if pending and not progressed:
-                    # Every remaining run waits on a key whose owner sits
-                    # in the buffer: drain it so owners can publish.
-                    if buffer:
-                        self._flush(buffer)
-                    else:  # pragma: no cover - ownership chains are acyclic
-                        raise SisaError("plan batch deadlocked on dedup keys")
-            self._flush(buffer)
+            drive(runs)
         except BaseException:
             # A failed batch must not leak per-plan shadow lanes into
             # the long-lived engine (pool callers retry batches).
@@ -797,7 +792,7 @@ class PlanExecutor:
                 warm=run.warm,
                 session=session,
                 cached=run.cached,
-                fused=True,
+                **mode,
             )
             if rec is not None and run.span is not None:
                 if run.span.t1 is None:
@@ -816,162 +811,86 @@ class PlanExecutor:
             session.run_count += 1
         return results
 
+    def _execute_fused(self, runs: list[_PlanRun]) -> None:
+        """Step every run round-robin until all finish, fusing buffered
+        bursts into macros."""
+        buffer: list[tuple[BurstUnit | FanoutStep, _PlanRun]] = []
+        pending = list(runs)
+        while pending:
+            progressed = False
+            still = []
+            for run in pending:
+                progressed |= self._advance(run, buffer)
+                if not run.finished:
+                    still.append(run)
+            pending = still
+            if pending and not progressed:
+                # Every remaining run waits on a key whose owner sits
+                # in the buffer: drain it so owners can publish.
+                if buffer:
+                    self._flush(buffer)
+                else:  # pragma: no cover - ownership chains are acyclic
+                    raise SisaError("plan batch deadlocked on dedup keys")
+        self._flush(buffer)
+
     # ------------------------------------------------------------------
     # Scheduled (certified-replay) mode
     # ------------------------------------------------------------------
 
-    def _execute_scheduled(self, plans: list[WorkloadPlan]) -> list[RunResult]:
+    def _execute_scheduled(self, runs: list[_PlanRun]) -> None:
         """Execute the batch in the certified schedule's explicit node
         order.
 
-        Each ``(plan, stage)`` node runs as one attributed slice, in
-        exactly the order ``schedule.order`` dictates — the dependency
-        DAG's dedup edges guarantee every cache-key owner publishes
-        before a follower starts, so any topological order is
-        output-identical (the certifier's core claim, property-tested).
-        Bursts execute unfused (node isolation is the point of a
-        replay); whole-plan and stage-key dedup still apply.  Each
-        node's attributed tenant-work delta is recorded back into the
-        schedule (:meth:`CertifiedSchedule.record_cost`), feeding the
-        measured what-if model; with an access log, execution is
-        bracketed per node so shared-structure hooks attribute to it.
+        Each ``(plan, stage)`` node runs to completion on the fused
+        mode's step loop (:meth:`_step_node`), in exactly the order
+        ``schedule.order`` dictates — the dependency DAG's dedup edges
+        guarantee every cache-key owner publishes before a follower
+        starts, so any topological order is output-identical (the
+        certifier's core claim, property-tested).  Bursts execute
+        unfused (node isolation is the point of a replay); whole-plan
+        and stage-key dedup still apply.  Each node's attributed
+        tenant-work delta is recorded back into the schedule
+        (:meth:`CertifiedSchedule.record_cost`), feeding the measured
+        what-if model; with an access log, execution is bracketed per
+        node so shared-structure hooks attribute to it.
         """
-        from repro.isa.scu import DispatchStats
-
         schedule = self.schedule
         log = self.access_log
         session = self.session
         engine = session.ctx.engine
-        obs = getattr(session, "obs", None)
-        rec = obs.spans if obs is not None else None
-        self._span_parent = rec.current if rec is not None else None
-        runs = []
-        for i, plan in enumerate(plans):
-            run = _PlanRun(plan, ("plan", i, plan.name))
-            run.stats = DispatchStats()
-            runs.append(run)
-        try:
-            for node_id in schedule.order:
-                node = schedule.nodes[node_id]
-                run = runs[node.plan_index]
-                stage = run.plan.stages[node.stage_index]
-                self._before_node(node_id)
-                w0 = engine.tenant_work_cycles(run.tag)
-                if log is not None:
-                    log.refresh(session)
-                    log.declared(node_id, stage)
-                    with log.at(node_id, stage.label):
-                        self._run_node(run, stage)
-                else:
-                    self._run_node(run, stage)
-                cycles = engine.tenant_work_cycles(run.tag) - w0
-                schedule.record_cost(node_id, cycles)
-                self._after_node(node_id, cycles)
-        except BaseException:
-            for run in runs:
-                engine.drop_tenant(run.tag)
-            raise
-        results = []
-        for run in runs:
-            report = engine.tenant_report(run.tag)
-            engine.drop_tenant(run.tag)
-            result = RunResult(
-                workload=run.plan.name,
-                output=run.output,
-                report=report,
-                stats=run.stats,
-                registrations=run.registrations,
-                config=session.config,
-                params=dict(run.plan.params),
-                warm=run.warm,
-                session=session,
-                cached=run.cached,
-                scheduled=True,
-            )
-            if rec is not None and run.span is not None:
-                if run.span.t1 is None:
-                    rec.end(run.span, cycles=report.work_cycles)
-                result.spans = run.span
-                obs.plan_wall(
-                    run.plan.tenant or "default",
-                    run.plan.name,
-                    run.span.wall_seconds,
-                )
-                obs.plan_done("cached" if run.cached else "ok")
-            results.append(result)
-            session.run_count += 1
-        return results
+        for node_id in schedule.order:
+            node = schedule.nodes[node_id]
+            run = runs[node.plan_index]
+            stage = run.plan.stages[node.stage_index]
+            self._before_node(node_id)
+            w0 = engine.tenant_work_cycles(run.tag)
+            if log is not None:
+                log.refresh(session)
+                log.declared(node_id, stage)
+                with log.at(node_id, stage.label):
+                    self._step_node(run, node.stage_index)
+            else:
+                self._step_node(run, node.stage_index)
+            cycles = engine.tenant_work_cycles(run.tag) - w0
+            schedule.record_cost(node_id, cycles)
+            self._after_node(node_id, cycles)
 
-    def _run_node(self, run: _PlanRun, stage: PlanStage) -> None:
-        """Execute one schedule node (one stage of one plan)."""
-        if not run.started:
-            if not self._start(run):  # pragma: no cover - dedup edges
+    def _step_node(self, run: _PlanRun, stage_index: int) -> None:
+        """Advance ``run`` until stage ``stage_index`` is done, and after
+        the plan's last stage until the plan is finished."""
+        last = stage_index + 1 == len(run.plan.stages)
+        while not run.finished and (last or run.stage_idx <= stage_index):
+            if not self._advance(run, []):  # pragma: no cover - dedup edges
                 raise SisaError(
                     "certified schedule ordered a follower before its "
                     "dedup owner published; the dependency DAG is wrong"
                 )
-        if run.finished:
-            # Whole-plan cache hit at _start: every node of this plan
-            # is a zero-cost skip.
-            return
-        obs = getattr(self.session, "obs", None)
-        self._inject(run.plan, stage.label)
-        if obs is not None:
-            run.stage_span = obs.spans.start_detached(
-                f"stage:{stage.label}", run.span
-            )
-            run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(run.tag)
-        try:
-            if stage.kind == "call":
-                with self._slice(run):
-                    run.value = stage.run(self.session, run.state)
-            else:
-                self._run_burst_node(run, stage)
-        finally:
-            if obs is not None and run.stage_span is not None:
-                obs.spans.end(
-                    run.stage_span,
-                    cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
-                    - run.stage_w0,
-                )
-                run.stage_span = None
-        run.stage_idx += 1
-        if run.stage_idx >= len(run.plan.stages):
-            self._finish(run)
 
-    def _run_burst_node(self, run: _PlanRun, stage: PlanStage) -> None:
-        """One burst stage, unfused, with stage-key dedup: a follower
-        whose key the owner already published seeds instead of
-        executing (the schedule's dedup edges order the owner first)."""
-        session = self.session
-        key = self._stage_key(stage, run.plan)
-        if key is not None:
-            found, value = self._lookup(key)
-            if found:
-                stage.seed(run.state, value)
-                run.value = stage.result(run.state)
-                obs = getattr(session, "obs", None)
-                if obs is not None:
-                    obs.dedup(run.plan.name)
-                return
-            self._owners[key] = run
-        with self._attribute(run):
-            gen = stage.units(session, run.state)
-        while True:
-            with self._attribute(run):
-                unit = next(gen, None)
-            if unit is None:
-                break
-            with self._slice(run):
-                unit.sink(self._counts(unit))
-        run.value = stage.result(run.state)
-        if key is not None:
-            self._publish(key, run.value)
-
-    # -- scheduled-mode extension points -------------------------------
+    # -- per-unit and per-node extension points ------------------------
 
     def _counts(self, unit: BurstUnit) -> np.ndarray:
-        """Execute one scheduled burst unit's count batch.
+        """Execute one burst unit's count batch in place, unfused (the
+        sequential path, the ``cpu-set`` fallback and scheduled replay).
 
         The single seam the shard-parallel executor
         (:class:`repro.parallel.executor.ParallelExecutor`) overrides:
@@ -1033,27 +952,36 @@ class PlanExecutor:
             # Call stages may register/release sets; drain deferred
             # bursts first so no unit observes mutated SM state.
             self._flush(buffer)
-            self._inject(plan, stage.label)
-            obs = getattr(self.session, "obs", None)
-            if obs is not None:
-                run.stage_span = obs.spans.start_detached(
-                    f"stage:{stage.label}", run.span
-                )
-                run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(
-                    run.tag
-                )
+            self._open_stage(run, stage)
             with self._slice(run):
                 run.value = stage.run(self.session, run.state)
-            if obs is not None:
-                obs.spans.end(
-                    run.stage_span,
-                    cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
-                    - run.stage_w0,
-                )
-                run.stage_span = None
-            run.stage_idx += 1
+            self._close_stage(run)
             return True
         return self._advance_bursts(run, stage, buffer)
+
+    def _open_stage(self, run: _PlanRun, stage: PlanStage) -> None:
+        """Enter an executing stage: the fault injector's shot at it
+        and, with observability on, its detached stage span."""
+        self._inject(run.plan, stage.label)
+        obs = getattr(self.session, "obs", None)
+        if obs is not None:
+            run.stage_span = obs.spans.start_detached(
+                f"stage:{stage.label}", run.span
+            )
+            run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(run.tag)
+
+    def _close_stage(self, run: _PlanRun) -> None:
+        """Leave the current stage; its span carries the tenant work
+        charged since :meth:`_open_stage`."""
+        run.stage_idx += 1
+        obs = getattr(self.session, "obs", None)
+        if obs is not None and run.stage_span is not None:
+            obs.spans.end(
+                run.stage_span,
+                cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
+                - run.stage_w0,
+            )
+            run.stage_span = None
 
     def _start(self, run: _PlanRun) -> bool:
         session = self.session
@@ -1086,8 +1014,13 @@ class PlanExecutor:
             owner = self._owners.get(key)
             if owner is not None and owner is not run:
                 return False  # an identical plan is already executing
-            self._owners[key] = run
-            run.owns_key = True
+            if self.schedule is None:
+                # Claim the key for the run's whole lifetime.  A replay
+                # needs no claim (dedup edges finish every whole-plan
+                # owner before its followers start), and one held across
+                # nodes would block an earlier plan's sub-request stage
+                # that computes the same key.
+                self._owners[key] = run
         run.warm = session._is_warm(plan.spec, None, plan.params)
         run.started = True
         return True
@@ -1111,14 +1044,7 @@ class PlanExecutor:
                 if owner is not None and owner is not run:
                     return False
                 self._owners[key] = run
-            self._inject(run.plan, stage.label)
-            if obs is not None:
-                run.stage_span = obs.spans.start_detached(
-                    f"stage:{stage.label}", run.span
-                )
-                run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(
-                    run.tag
-                )
+            self._open_stage(run, stage)
             with self._attribute(run):
                 if self._fuse_bursts and stage.fanout is not None:
                     run.gen = stage.fanout.steps(self.session, run.state)
@@ -1134,28 +1060,19 @@ class PlanExecutor:
             run.value = stage.result(run.state)
             if key is not None:
                 self._publish(key, run.value)
-            run.stage_idx += 1
-            if obs is not None and run.stage_span is not None:
-                obs.spans.end(
-                    run.stage_span,
-                    cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
-                    - run.stage_w0,
-                )
-                run.stage_span = None
+            self._close_stage(run)
             return True
         if self._fuse_bursts:
             buffer.append((unit, run))
-            if len(buffer) >= self.fuse_width:
+            if len(buffer) >= FUSE_WIDTH:
                 self._flush(buffer)
         else:
-            # Host baseline / fusion off: execute in place, unfused.
-            # The unit's task is still current (nothing ran since its
-            # begin_task), so charges land on its lane naturally.
+            # Host baseline / scheduled replay: execute in place,
+            # unfused.  The unit's task is still current (nothing ran
+            # since its begin_task), so charges land on its lane
+            # naturally.
             with self._slice(run):
-                counts = getattr(self.session.ctx, f"{unit.kind}_count_batch")(
-                    unit.a, unit.bs
-                )
-                unit.sink(counts)
+                unit.sink(self._counts(unit))
         return True
 
     def _finish(self, run: _PlanRun) -> None:

@@ -48,8 +48,10 @@ wired in at three points:
   structured :class:`~repro.session.result.FailedResult` in its result
   slot instead of aborting the batch.  ``pool.health()`` snapshots the
   degradation state.  Without those knobs ``run()`` keeps the strict
-  PR 5 semantics bit for bit — any stale plan fails the whole call
-  before work starts, and modeled cycles are unchanged.
+  semantics — any stale plan fails the whole call before work starts,
+  and modeled cycles are unchanged.  Strict, hardened and scheduled
+  runs share one per-session loop; only the call that executes one
+  session's batch differs.
 
 Finally, ``observability=True`` (or a shared
 :class:`~repro.observability.Observability` hub) threads one metrics
@@ -75,7 +77,6 @@ from typing import Any
 from repro.errors import (
     AdmissionError,
     ConfigError,
-    ReproError,
     WorkerCrashError,
 )
 from repro.observability import JsonlSink, Observability
@@ -102,8 +103,6 @@ class SessionPool:
         config: ExecutionConfig | None = None,
         *,
         max_sessions: int = 4,
-        fuse: bool = True,
-        fuse_width: int = 8,
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
         admission: AdmissionController | None = None,
@@ -152,8 +151,6 @@ class SessionPool:
             admission.obs = hub
         self.config = config
         self.max_sessions = max_sessions
-        self.fuse = fuse
-        self.fuse_width = fuse_width
         self.admission = admission
         self.retry = retry
         self.fault_injector = fault_injector
@@ -194,7 +191,7 @@ class SessionPool:
     def _hardened(self) -> bool:
         """True when run() takes the isolation/retry path.  Opt-in via
         the retry/fault_injector knobs — the default strict path keeps
-        the PR 5 all-or-nothing semantics bit for bit."""
+        the all-or-nothing semantics."""
         return self.retry is not None or self.fault_injector is not None
 
     # ------------------------------------------------------------------
@@ -458,67 +455,70 @@ class SessionPool:
     ) -> list[RunResult | FailedResult]:
         """Execute every queued plan; results in submission order.
 
+        One loop serves every mode: it dequeues everything, groups the
+        plans by session, orders each session's batch round-robin
+        across tenants (first tenant's first plan, second tenant's
+        first plan, ..., first tenant's second plan, ...) so burst
+        windows interleave fairly, runs the batch under one
+        ``session:`` span and charges each plan's modeled cycles to its
+        tenant.  Only the per-session batch call differs by mode:
+
+        * **Strict** (no retry policy, no fault injector — the
+          default): one fused :meth:`PlanExecutor.execute` call.
+        * **Hardened** (a :class:`RetryPolicy` and/or
+          :class:`FaultInjector` was configured): each plan runs in its
+          own blast radius.  Stale plans are recompiled at the current
+          version, failed attempts are retried up to the policy bound
+          (failed-attempt cycles charged to the owning tenant's retry
+          ledger), budget-exhausted tenants' plans never start, and a
+          plan the pool gives up on yields a
+          :class:`~repro.session.result.FailedResult` in its slot — no
+          exception escapes for a plan failure.
+        * **Scheduled** (``lanes=N``, or ``racecheck=True`` /
+          ``parallel=True``, which default the width to 4): the batch
+          is lowered into a
+          :class:`~repro.analysis.static.schedule.CertifiedSchedule`
+          (implying full static verification — an uncertifiable batch
+          raises :class:`~repro.errors.HazardError`) and replayed in
+          the schedule's topological order, recording measured
+          per-node costs back into the schedule (kept on
+          :attr:`last_schedules` for what-if lane modeling).  With
+          ``racecheck=True`` the replay runs under the happens-before
+          race detector (:mod:`repro.analysis.static.racecheck`): the
+          session's shared structures and this pool's tenant ledgers
+          are shimmed into an access log, and any unordered conflicting
+          access pair raises a structured
+          :class:`~repro.errors.RaceError`.  ``parallel=True`` runs the
+          replay on the sharded worker subsystem
+          (:mod:`repro.parallel`): one worker process per lane owns one
+          shard of the vertex universe, count bursts fan out for
+          per-shard partial counts merged in fixed shard order, and the
+          run reconciles its modeled cycles exactly against
+          ``schedule.what_if(lanes)`` plus the host merge charges.
+          Outputs, per-tenant ledgers and modeled cycles are
+          bit-identical to the sequential scheduled run.  A worker
+          crash yields structured ``FailedResult(reason="worker-crash")``
+          slots for the session's unfinished plans instead of a hang;
+          other sessions' batches still run.  Scheduled execution is
+          strict-mode only: a hardened pool raises
+          :class:`~repro.errors.ConfigError`.
+
+        Strict and scheduled runs fail the whole call on a stale plan
+        *before anything executes* (nothing is dequeued;
+        :meth:`discard_stale` drops them, or resubmit recompiled
+        plans).  In every mode, an exception that escapes leaves the
+        plans without a result queued.
+
         ``verify=True`` runs the static hazard verifier
         (:func:`repro.analysis.static.analyze_batch`) over each
         session's batch before execution: a batch that cannot be
         certified hazard-free raises
         :class:`~repro.errors.HazardError` in strict mode, or fails
         the offending plans structurally in hardened mode.
-
-        ``lanes=N`` (and/or ``racecheck=True``, which defaults the
-        width to 4) takes the **scheduled** path: each session's batch
-        is lowered into a
-        :class:`~repro.analysis.static.schedule.CertifiedSchedule`
-        (implying full static verification — an uncertifiable batch
-        raises :class:`~repro.errors.HazardError`) and executed in the
-        schedule's topological order, recording measured per-node costs
-        back into the schedule (kept on :attr:`last_schedules` for
-        what-if lane modeling).  With ``racecheck=True`` the replay
-        additionally runs under the happens-before race detector
-        (:mod:`repro.analysis.static.racecheck`): the session's shared
-        structures and this pool's tenant ledgers are shimmed into an
-        access log, and any unordered conflicting access pair raises a
-        structured :class:`~repro.errors.RaceError`.  Scheduled
-        execution is strict-mode only (outputs must stay bit-identical
-        to the sequential reference; retry/fault paths would fork the
-        comparison).
-
-        Per session, the batch is ordered round-robin across tenants
-        (first tenant's first plan, second tenant's first plan, ...,
-        first tenant's second plan, ...) so burst windows interleave
-        fairly; each plan's modeled cycles are charged to its tenant.
-
-        **Strict mode** (no retry policy, no fault injector — the
-        default): stale plans fail the whole call *before anything
-        executes* (nothing is dequeued; :meth:`discard_stale` drops
-        them, or resubmit recompiled plans).  On any other executor
-        error, plans that did not complete stay queued.
-
-        **Hardened mode** (a :class:`RetryPolicy` and/or
-        :class:`FaultInjector` was configured): each plan runs in its
-        own blast radius.  Stale plans are recompiled at the current
-        version, failed attempts are retried up to the policy bound
-        (failed-attempt cycles charged to the owning tenant's retry
-        ledger), budget-exhausted tenants' plans never start, and a
-        plan the pool gives up on yields a
-        :class:`~repro.session.result.FailedResult` in its slot — no
-        exception escapes for a plan failure.
-
-        ``parallel=True`` (implies the scheduled path; default width 4
-        when ``lanes`` is not given) executes each certified schedule
-        on the sharded worker subsystem (:mod:`repro.parallel`): one
-        worker process per lane owns one shard of the vertex universe,
-        count bursts fan out for per-shard partial counts merged in
-        fixed shard order, and the run reconciles its modeled cycles
-        exactly against ``schedule.what_if(lanes)`` plus the host merge
-        charges.  Outputs, per-tenant ledgers and modeled cycles are
-        bit-identical to the sequential scheduled run.  A worker crash
-        yields structured ``FailedResult(reason="worker-crash")`` slots
-        for the session's unfinished plans instead of a hang; other
-        sessions' batches still run.
         """
-        scheduled = lanes is not None or racecheck or parallel
-        if scheduled and self._hardened:
+        if lanes is None and (racecheck or parallel):
+            lanes = 4
+        if lanes is not None and self._hardened:
             raise ConfigError(
                 "scheduled execution (lanes/racecheck/parallel) is "
                 "strict-mode only; drop the retry policy / fault injector"
@@ -532,16 +532,9 @@ class SessionPool:
             else None
         )
         try:
-            if scheduled:
-                results = self._run_scheduled(
-                    lanes=lanes if lanes is not None else 4,
-                    racecheck=racecheck,
-                    parallel=parallel,
-                )
-            elif self._hardened:
-                results = self._run_hardened(verify=verify)
-            else:
-                results = self._run_strict(verify=verify)
+            results = self._run_sessions(
+                verify=verify, lanes=lanes, racecheck=racecheck, parallel=parallel
+            )
         finally:
             if rec is not None:
                 rec.end(span)
@@ -551,17 +544,30 @@ class SessionPool:
                 obs.flush_sink(self.health().as_dict(), self._completed)
         return results
 
-    def _run_strict(self, *, verify: bool = False) -> list[RunResult]:
-        # Fail fast on drift before any tenant's work starts — one
-        # tenant's stale plan must not cost another tenant's computed
-        # results.
-        for __, __, plan in self._pending:
-            plan.check_version()
+    def _run_sessions(
+        self, *, verify: bool, lanes: int | None, racecheck: bool, parallel: bool
+    ) -> list[RunResult | FailedResult]:
+        """The one loop behind :meth:`run`: dequeue everything, then
+        per session order the batch round-robin by tenant and run it
+        under a ``session:`` span.  Only the per-session batch call
+        differs: :meth:`_run_scheduled` when ``lanes`` is given,
+        :meth:`_run_hardened` on a hardened pool, one strict
+        :meth:`PlanExecutor.execute` otherwise."""
+        if not self._hardened:
+            # Fail fast on drift before any tenant's work starts — one
+            # tenant's stale plan must not cost another tenant's
+            # computed results.
+            for __, __, plan in self._pending:
+                plan.check_version()
         pending, self._pending = self._pending, []
         by_session: OrderedDict[Any, list] = OrderedDict()
         for idx, key, plan in pending:
             by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult] = {}
+        results: dict[int, RunResult | FailedResult] = {}
+        if lanes is not None:
+            self.last_schedules = {}
+            if parallel:
+                self.last_parallel = {}
         rec = self.obs.spans if self.obs is not None else None
         try:
             for key, entries in by_session.items():
@@ -573,18 +579,25 @@ class SessionPool:
                     else None
                 )
                 try:
-                    executor = PlanExecutor(
-                        session,
-                        fuse=self.fuse,
-                        fuse_width=self.fuse_width,
-                        verify=verify,
-                    )
-                    for (idx, plan), result in zip(
-                        ordered,
-                        executor.execute([plan for __, plan in ordered]),
-                    ):
-                        results[idx] = result
-                        self._charge(plan.tenant or "default", result)
+                    if lanes is not None:
+                        self._run_scheduled(
+                            key,
+                            session,
+                            ordered,
+                            results,
+                            lanes=lanes,
+                            racecheck=racecheck,
+                            parallel=parallel,
+                        )
+                    elif self._hardened:
+                        self._run_hardened(session, ordered, results, verify)
+                    else:
+                        executor = PlanExecutor(session, verify=verify)
+                        self._record(
+                            ordered,
+                            executor.execute([plan for __, plan in ordered]),
+                            results,
+                        )
                 finally:
                     if rec is not None:
                         rec.end(sspan)
@@ -598,16 +611,29 @@ class SessionPool:
         self._evict()
         return [results[idx] for idx, __, __ in pending]
 
+    def _record(self, ordered: list, batch: list, results: dict) -> None:
+        """Store and charge one session's batch results, in order."""
+        for (idx, plan), result in zip(ordered, batch):
+            results[idx] = result
+            self._charge(plan.tenant or "default", result)
+
     def _run_scheduled(
-        self, *, lanes: int, racecheck: bool, parallel: bool = False
-    ) -> list[RunResult | FailedResult]:
-        """Certify each session's batch into a dependency-DAG schedule
-        and execute it in topological order, optionally under the race
-        detector and/or on the sharded worker subsystem.  Strict drift
-        semantics: any stale plan fails the whole call before work
-        starts.  Under ``parallel=True`` a worker crash degrades only
-        the owning session's batch (structured ``"worker-crash"``
-        failures); it does not abort the call."""
+        self,
+        key: Any,
+        session: SisaSession,
+        ordered: list,
+        results: dict,
+        *,
+        lanes: int,
+        racecheck: bool,
+        parallel: bool,
+    ) -> None:
+        """Certify one session's batch into a dependency-DAG schedule
+        and replay it in topological order, optionally under the race
+        detector and/or on the sharded worker subsystem.  Under
+        ``parallel=True`` a worker crash degrades only this session's
+        batch (structured ``"worker-crash"`` failures); it does not
+        abort the call."""
         # Deferred import: analysis is outside the serving hot path.
         from repro.analysis.static.racecheck import (
             AccessLog,
@@ -618,174 +644,92 @@ class SessionPool:
         )
         from repro.analysis.static.schedule import certify_schedule
 
-        for __, __, plan in self._pending:
-            plan.check_version()
-        pending, self._pending = self._pending, []
-        by_session: OrderedDict[Any, list] = OrderedDict()
-        for idx, key, plan in pending:
-            by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult | FailedResult] = {}
-        self.last_schedules = {}
-        if parallel:
-            self.last_parallel = {}
         rec = self.obs.spans if self.obs is not None else None
+        plans = [plan for __, plan in ordered]
+        cspan = (
+            rec.start("schedule:certify", {"lanes": lanes})
+            if rec is not None
+            else None
+        )
         try:
-            for key, entries in by_session.items():
-                session = self._sessions[key]
-                ordered = _round_robin_by_tenant(entries)
-                plans = [plan for __, plan in ordered]
-                sspan = (
-                    rec.start(f"session:{key}", {"plans": len(ordered)})
-                    if rec is not None
-                    else None
-                )
-                try:
-                    cspan = (
-                        rec.start("schedule:certify", {"lanes": lanes})
-                        if rec is not None
-                        else None
-                    )
-                    try:
-                        schedule = certify_schedule(
-                            plans, lanes=lanes, fuse_width=self.fuse_width
-                        )
-                    finally:
-                        if rec is not None:
-                            rec.end(cspan)
-                    self.last_schedules[key] = schedule
-                    log = AccessLog() if racecheck else None
-                    rspan = (
-                        rec.start(
-                            "racecheck:replay", {"nodes": len(schedule)}
-                        )
-                        if rec is not None and racecheck
-                        else None
-                    )
-                    try:
-                        if parallel:
-                            from repro.parallel.executor import (
-                                ParallelExecutor,
-                            )
+            schedule = certify_schedule(plans, lanes=lanes)
+        finally:
+            if rec is not None:
+                rec.end(cspan)
+        self.last_schedules[key] = schedule
+        log = AccessLog() if racecheck else None
+        rspan = (
+            rec.start("racecheck:replay", {"nodes": len(schedule)})
+            if rec is not None and racecheck
+            else None
+        )
+        try:
+            if parallel:
+                from repro.parallel.executor import ParallelExecutor
 
-                            executor = ParallelExecutor(
-                                session,
-                                fuse_width=self.fuse_width,
-                                schedule=schedule,
-                                access_log=log,
-                                runtime=self._runtime_for(
-                                    key, session, lanes
-                                ),
-                                lanes=lanes,
-                            )
-                        else:
-                            executor = PlanExecutor(
-                                session,
-                                fuse_width=self.fuse_width,
-                                schedule=schedule,
-                                access_log=log,
-                            )
-                        try:
-                            if racecheck:
-                                with instrument_session(session, log), \
-                                        instrument_pool_ledgers(self, log):
-                                    batch = executor.execute(plans)
-                                    for (idx, plan), result in zip(
-                                        ordered, batch
-                                    ):
-                                        results[idx] = result
-                                        self._charge(
-                                            plan.tenant or "default", result
-                                        )
-                                raise_on_races(
-                                    find_races(schedule, log),
-                                    context=f"session {key!r} scheduled "
-                                    f"replay (lanes={lanes})",
-                                )
-                            else:
-                                for (idx, plan), result in zip(
-                                    ordered, executor.execute(plans)
-                                ):
-                                    results[idx] = result
-                                    self._charge(
-                                        plan.tenant or "default", result
-                                    )
-                        except WorkerCrashError as exc:
-                            # The dead worker pool poisons only this
-                            # session's batch: unfinished plans get a
-                            # structured failure slot, the runtime is
-                            # torn down (a fresh one spawns on the next
-                            # parallel run), other sessions proceed.
-                            self._drop_runtime(key)
-                            for idx, plan in ordered:
-                                if idx in results:
-                                    continue
-                                self._failed += 1
-                                self._worker_crashes += 1
-                                results[idx] = FailedResult(
-                                    workload=plan.name,
-                                    params=dict(plan.params),
-                                    tenant=plan.tenant or "default",
-                                    reason="worker-crash",
-                                    error=exc,
-                                    attempts=1,
-                                    details=dict(exc.details),
-                                )
-                        else:
-                            if parallel:
-                                self.last_parallel[key] = executor.report
-                    finally:
-                        if rec is not None and rspan is not None:
-                            rec.end(rspan)
-                finally:
-                    if rec is not None:
-                        rec.end(sspan)
-        except BaseException:
-            self._pending = [
-                e for e in pending if e[0] not in results
-            ] + self._pending
-            raise
-        self._evict()
-        return [results[idx] for idx, __, __ in pending]
+                executor = ParallelExecutor(
+                    session,
+                    schedule=schedule,
+                    access_log=log,
+                    runtime=self._runtime_for(key, session, lanes),
+                    lanes=lanes,
+                )
+            else:
+                executor = PlanExecutor(
+                    session, schedule=schedule, access_log=log
+                )
+            try:
+                if racecheck:
+                    with instrument_session(session, log), \
+                            instrument_pool_ledgers(self, log):
+                        self._record(ordered, executor.execute(plans), results)
+                    raise_on_races(
+                        find_races(schedule, log),
+                        context=f"session {key!r} scheduled "
+                        f"replay (lanes={lanes})",
+                    )
+                else:
+                    self._record(ordered, executor.execute(plans), results)
+            except WorkerCrashError as exc:
+                # The dead worker pool poisons only this session's
+                # batch: unfinished plans get a structured failure
+                # slot, the runtime is torn down (a fresh one spawns on
+                # the next parallel run), other sessions proceed.
+                self._drop_runtime(key)
+                for idx, plan in ordered:
+                    if idx in results:
+                        continue
+                    self._failed += 1
+                    self._worker_crashes += 1
+                    results[idx] = FailedResult(
+                        workload=plan.name,
+                        params=dict(plan.params),
+                        tenant=plan.tenant or "default",
+                        reason="worker-crash",
+                        error=exc,
+                        attempts=1,
+                        details=dict(exc.details),
+                    )
+            else:
+                if parallel:
+                    self.last_parallel[key] = executor.report
+        finally:
+            if rec is not None and rspan is not None:
+                rec.end(rspan)
 
     def _run_hardened(
-        self, *, verify: bool = False
-    ) -> list[RunResult | FailedResult]:
-        pending, self._pending = self._pending, []
-        by_session: OrderedDict[Any, list] = OrderedDict()
-        for idx, key, plan in pending:
-            by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult | FailedResult] = {}
-        rec = self.obs.spans if self.obs is not None else None
-        try:
-            for key, entries in by_session.items():
-                session = self._sessions[key]
-                ordered = _round_robin_by_tenant(entries)
-                sspan = (
-                    rec.start(f"session:{key}", {"plans": len(ordered)})
-                    if rec is not None
-                    else None
-                )
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.before_batch(
-                            session, [plan for __, plan in ordered]
-                        )
-                    for idx, plan in ordered:
-                        results[idx] = self._run_plan_hardened(
-                            session, plan, verify=verify
-                        )
-                finally:
-                    if rec is not None:
-                        rec.end(sspan)
-        except BaseException:
-            # Only non-recoverable interrupts reach here (plan failures
-            # become FailedResults); keep unfinished work queued.
-            self._pending = [
-                e for e in pending if e[0] not in results
-            ] + self._pending
-            raise
-        self._evict()
-        return [results[idx] for idx, __, __ in pending]
+        self, session: SisaSession, ordered: list, results: dict, verify: bool
+    ) -> None:
+        """Run one session's batch plan by plan, each in its own blast
+        radius; a plan failure becomes a :class:`FailedResult`."""
+        if self.fault_injector is not None:
+            self.fault_injector.before_batch(
+                session, [plan for __, plan in ordered]
+            )
+        for idx, plan in ordered:
+            results[idx] = self._run_plan_hardened(
+                session, plan, verify=verify
+            )
 
     def _run_plan_hardened(
         self, session: SisaSession, plan: WorkloadPlan, *, verify: bool = False
@@ -845,22 +789,16 @@ class SessionPool:
             if injector is not None:
                 injector.before_plan(session, current)
             mark = session.ctx.mark()
-            executor = PlanExecutor(
-                session,
-                fuse=self.fuse,
-                fuse_width=self.fuse_width,
-                fault_injector=injector,
-                verify=verify,
-            )
-            try:
-                (result,) = executor.execute([current])
-            except ReproError as exc:
-                # The retry loop handles only the package's own failure
-                # taxonomy (injected faults, drift, hazards, validation)
-                # — a foreign exception is a bug, not a transient, and
-                # propagates to the caller instead of burning retries.
+            # The executor's isolation turns the package's own failure
+            # taxonomy into a FailedResult and lets a foreign exception
+            # (a bug, not a transient) propagate instead of burning
+            # retries.
+            (result,) = PlanExecutor(
+                session, fault_injector=injector, verify=verify
+            ).execute_isolated([current])
+            if isinstance(result, FailedResult):
                 attempts += 1
-                last_exc = exc
+                last_exc = result.error
                 wasted = _report_work_cycles(session.ctx.report_since(mark))
                 plan_retry_cycles += wasted
                 self._wasted_cycles += wasted

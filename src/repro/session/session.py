@@ -414,7 +414,6 @@ class SisaSession:
         plans,
         *,
         fuse: bool = True,
-        fuse_width: int = 8,
         isolate: bool = False,
         fault_injector=None,
         verify: bool = False,
@@ -457,7 +456,6 @@ class SisaSession:
         executor = PlanExecutor(
             self,
             fuse=fuse,
-            fuse_width=fuse_width,
             fault_injector=fault_injector,
             verify=verify,
         )

@@ -290,10 +290,19 @@ class TestHealthSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def _drain(pool, limit=50):
+#: The pool.run() calls the pool span tests cover: fused, and scheduled
+#: replay at one lane and under the race detector at four.
+RUN_MODES = {
+    "run": {},
+    "lanes1": {"lanes": 1},
+    "lanes4-racecheck": {"lanes": 4, "racecheck": True},
+}
+
+
+def _drain(pool, limit=50, **run):
     results = []
     for __ in range(limit):
-        results.extend(pool.run())
+        results.extend(pool.run(**run))
         if pool.pending == 0 and pool.deferred == 0:
             return results
     raise AssertionError("pool failed to drain")
@@ -308,13 +317,14 @@ class TestPoolObservability:
             pool.metrics_text()
         assert pool.obs is None
 
-    def test_tenant_counters_mirror_ledgers_exactly(self):
+    @pytest.mark.parametrize("run", RUN_MODES.values(), ids=RUN_MODES.keys())
+    def test_tenant_counters_mirror_ledgers_exactly(self, run):
         pool = SessionPool(observability=True, threads=4)
         pool.session("g", _graph()).attach_stream()
         for tenant in ("alice", "bob", "alice"):
             pool.submit("g", "triangles", tenant=tenant)
             pool.submit("g", "bfs", tenant=tenant, root=0)
-        results = _drain(pool)
+        results = _drain(pool, **run)
         assert all(r.ok for r in results)
         reg = pool.obs.registry
         for tenant, cycles in pool.tenant_cycles.items():
@@ -323,12 +333,28 @@ class TestPoolObservability:
                 == cycles  # exact float equality, not approx
             )
 
-    def test_span_tree_cycles_match_engine_reports(self):
-        pool = SessionPool(observability=True, threads=4)
-        pool.session("g", _graph())
-        pool.submit("g", "triangles", tenant="a")
-        pool.submit("g", "clustering_coefficient", tenant="b")
-        results = _drain(pool)
+    @pytest.mark.parametrize("run", RUN_MODES.values(), ids=RUN_MODES.keys())
+    def test_span_tree_cycles_match_engine_reports(self, run):
+        def drain(**run):
+            pool = SessionPool(observability=True, threads=4)
+            pool.session("g", _graph())
+            pool.submit("g", "triangles", tenant="a")
+            pool.submit("g", "clustering_coefficient", tenant="b")
+            return _drain(pool, **run)
+
+        def stage_names(result):
+            return [
+                ch.name for ch in result.spans.children
+                if ch.name.startswith("stage:")
+            ]
+
+        results = drain(**run)
+        # Every mode opens a stage span for exactly the stages the plan
+        # executed: clustering_coefficient's deduped triangle count has
+        # none, as under fused execution.
+        assert [stage_names(r) for r in results] == [
+            stage_names(r) for r in drain()
+        ]
         for result in results:
             root = result.spans
             assert root is not None and root.name.startswith("plan:")

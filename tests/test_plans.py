@@ -40,9 +40,9 @@ from repro.graphs.generators import chung_lu_graph, gnp_random_graph, kronecker_
 from repro.graphs.streams import EdgeBatch, canonical_edges, churn_stream
 from repro.runtime import context as contextmod
 from repro.serving import FaultInjector, RetryPolicy
+from repro.session import plan as planmod
 from repro.session import (
     ExecutionConfig,
-    PlanExecutor,
     SessionPool,
     SisaSession,
     WorkloadPlan,
@@ -350,14 +350,14 @@ class TestFusedExecution:
         pairs = _watchlist(graph.num_vertices, 30)
         session = SisaSession(graph, ExecutionConfig(threads=8))
         before = session.ctx.scu.stats.fused_macros
-        results = session.run_many(
-            [
-                ("triangles", {}),
-                ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}),
-            ],
-            fuse=True,
-            fuse_width=4,
-        )
+        with _fuse_width(4):
+            results = session.run_many(
+                [
+                    ("triangles", {}),
+                    ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}),
+                ],
+                fuse=True,
+            )
         macros = session.ctx.scu.stats.fused_macros - before
         assert macros > 0
         assert all(r.fused for r in results)
@@ -417,11 +417,6 @@ class TestFusedExecution:
         assert results[0].output == ref.run("triangles").output
         # Dedup still applies on the host.
         assert results[1].instructions == 0
-
-    def test_executor_validates_fuse_width(self):
-        session = SisaSession(_graph(), ExecutionConfig(threads=8))
-        with pytest.raises(ConfigError):
-            PlanExecutor(session, fuse_width=0)
 
     def test_empty_batch(self):
         session = SisaSession(_graph(), ExecutionConfig(threads=8))
@@ -645,6 +640,16 @@ def _chunk_budgets(ops, probe):
         contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = saved
 
 
+@contextmanager
+def _fuse_width(width):
+    saved = planmod.FUSE_WIDTH
+    planmod.FUSE_WIDTH = width
+    try:
+        yield
+    finally:
+        planmod.FUSE_WIDTH = saved
+
+
 def _fanout_mix(n):
     """Fan-out stages, dedup, call stages that flush partial macros, and
     burst units sharing macros with fan-out constituents."""
@@ -673,8 +678,8 @@ def _result_state(result):
 
 
 def _strict_run(graph, batch, *, per_unit, rounds, fuse_width, **config):
-    with _per_unit_fanouts() if per_unit else nullcontext():
-        pool = SessionPool(ExecutionConfig(**config), fuse_width=fuse_width)
+    with _per_unit_fanouts() if per_unit else nullcontext(), _fuse_width(fuse_width):
+        pool = SessionPool(ExecutionConfig(**config))
         session = pool.session("g", graph)
         results = []
         for __ in range(rounds):

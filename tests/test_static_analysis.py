@@ -118,6 +118,22 @@ class TestVerifier:
         report = analyze_batch(soak_batch(session))
         assert report.certified, report.summary()
 
+    def test_checks_hold_check_counters_only(self):
+        # An empty batch runs no check, so it reports none.
+        empty = analyze_batch([])
+        assert empty.checks == {}
+        assert empty.summary() == "certified: 0 plan(s), 0 check(s), 0 hazards"
+        report = analyze_batch(soak_batch(make_session()))
+        assert set(report.checks) <= {
+            "version-pin",
+            "dataflow-stage",
+            "dedup-soundness",
+            "fusion-legality",
+            "fusion-pair",
+            "dedup-group",
+        }
+        assert all(n > 0 for n in report.checks.values())
+
     def test_illegal_burst_write_rejected_with_structured_report(self):
         session = _session()
         tri = session.compile("triangles")

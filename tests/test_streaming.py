@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.common import oriented_setgraph
 from repro.algorithms.triangles import triangle_count_oriented
+from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import gnp_random_graph
 from repro.graphs.streams import (
@@ -289,6 +290,12 @@ class TestStreams:
         g = gnp_random_graph(40, 0.2, seed=5)
         stream = churn_stream(g, churn=0.03, num_batches=5, seed=1)
         assert stream.final_edges().shape[0] == g.num_edges
+
+    def test_churn_needs_absent_pairs(self):
+        # A complete graph has no pair to insert in place of a deleted
+        # edge; the generator refuses instead of sampling forever.
+        with pytest.raises(GraphError):
+            churn_stream(gnp_random_graph(6, 1.0, seed=0), churn=0.2, seed=0)
 
     def test_canonical_edges(self):
         out = canonical_edges(

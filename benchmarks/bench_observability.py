@@ -20,7 +20,10 @@ observability off and on — and asserts the layer's core contract:
 
 Env knobs: the ``BENCH_ROBUST_*`` family (graph/schedule shape,
 inherited from bench_robustness) plus ``BENCH_OBS_MAX_WALL`` and
-``BENCH_OBS_REPEATS`` (default 3; wall overhead uses best-of-N).
+``BENCH_OBS_REPEATS`` (default 3; wall overhead uses best-of-N per
+side).  Each repeat runs one soak with observability off and one with
+it on, alternating which goes first, so a slow phase of the host
+cannot cover one side's runs alone.
 """
 
 import gc
@@ -37,22 +40,30 @@ MAX_WALL_OVERHEAD = float(os.environ.get("BENCH_OBS_MAX_WALL", "0.15"))
 REPEATS = int(os.environ.get("BENCH_OBS_REPEATS", "3"))
 
 
-def _timed_soak(graph, observability):
-    best = float("inf")
-    pool = results = None
-    for __ in range(REPEATS):
-        gc.collect()
-        start = time.perf_counter()
-        pool, results, __unused = soak._soak(
-            graph, faulted=True, observability=observability
-        )
-        best = min(best, time.perf_counter() - start)
-    return pool, results, best
+def _timed_soaks(graph):
+    """``REPEATS`` rounds of one soak with observability off and one
+    with it on, alternating which goes first.  Returns each side's last
+    ``(pool, results)`` and best wall, keyed by the observability
+    flag."""
+    runs = {}
+    best = {False: float("inf"), True: float("inf")}
+    for r in range(REPEATS):
+        for observability in (r % 2 == 1, r % 2 == 0):
+            gc.collect()
+            start = time.perf_counter()
+            pool, results, __ = soak._soak(
+                graph, faulted=True, observability=observability
+            )
+            wall = time.perf_counter() - start
+            best[observability] = min(best[observability], wall)
+            runs[observability] = (pool, results)
+    return runs, best
 
 
 def _measure(graph):
-    base_pool, base_runs, base_wall = _timed_soak(graph, observability=False)
-    obs_pool, obs_runs, obs_wall = _timed_soak(graph, observability=True)
+    runs, best = _timed_soaks(graph)
+    (base_pool, base_runs), base_wall = runs[False], best[False]
+    (obs_pool, obs_runs), obs_wall = runs[True], best[True]
 
     # Modeled cost and outputs: bit-identical with observability on.
     assert len(obs_runs) == len(base_runs)

@@ -3,9 +3,10 @@ shard worker processes, bit-identical to sequential serving.
 
 ``bench_schedule_whatif`` proved the *modeled* lane speedup of the
 certified 8-tenant soak batch; this bench runs the same batch through
-the real thing — ``pool.run(lanes=4, parallel=True)`` fans count-form
-burst units out to spawned worker processes over shared-memory shards
-and merges the partial counts deterministically on the host.
+the real thing — ``pool.run(lanes=4, parallel=True)`` fans count
+bursts out to spawned worker processes over shared-memory shards (one
+message per fan-out chunk) and merges the partial counts
+deterministically on the host.
 
 Acceptance (the deterministic floors are asserted unconditionally):
 
@@ -21,6 +22,15 @@ Acceptance (the deterministic floors are asserted unconditionally):
   skipped gracefully otherwise (a 1-core box cannot demonstrate wall
   parallelism, only correctness).
 
+Wall clock is steady-state serving: each pool (sequential, lanes=1,
+lanes=4) serves one untimed warm-up batch (cold certification, the
+session's structures and, for the parallel pools, the first worker
+round trips), then the median of ``WARM_BATCHES`` more batches is
+recorded.  The pools keep no result cache, so every batch does the
+full work.  Spawning a parallel pool's workers is timed on its own
+(``spawn_seconds``), and the record carries the machine (cores, Python
+and NumPy versions) the walls were measured on.
+
 Env knobs: ``BENCH_PAR_N`` (graph vertices, default 60),
 ``BENCH_PAR_P`` (edge probability, default 0.12),
 ``BENCH_PAR_TENANTS`` (default 8), ``BENCH_PAR_LANES`` (default 4),
@@ -28,11 +38,15 @@ Env knobs: ``BENCH_PAR_N`` (graph vertices, default 60),
 """
 
 import os
+import platform
 import time
+from statistics import median
+
+import numpy as np
 
 from repro.analysis.static.smoke import SOAK_WORKLOADS
 from repro.graphs.generators import gnp_random_graph
-from repro.session import SessionPool
+from repro.session import ExecutionConfig, SessionPool
 from repro.session.cache import fingerprint
 
 from common import emit, emit_json
@@ -45,6 +59,9 @@ MIN_WALL_SPEEDUP = float(
     os.environ.get("BENCH_PAR_MIN_WALL_SPEEDUP", "1.3")
 )
 ENOUGH_CORES = (os.cpu_count() or 1) >= 4
+#: Timed batches per pool after the warm-up batch (their median is the
+#: recorded wall).
+WARM_BATCHES = 5
 
 
 def _submit(pool: SessionPool, graph) -> int:
@@ -58,31 +75,46 @@ def _submit(pool: SessionPool, graph) -> int:
     return count
 
 
-def _parallel_run(graph, lanes: int):
-    """One fresh pool serving the full soak batch with ``parallel=True``
-    at the given lane width; returns (pool, results, wall_seconds)."""
-    pool = SessionPool(threads=8)
-    pool.parallel_offload_threshold = 0  # every count burst offloads
+def _serve(graph, lanes: int, parallel: bool):
+    """One fresh pool serving the full soak batch at the given lane
+    width: spawn (parallel pools only), the warm-up batch, then
+    ``WARM_BATCHES`` timed batches.  Returns (pool, warm-up results,
+    the warm-up batch's parallel report and what-if model, spawn
+    seconds, median warm wall seconds)."""
+    pool = SessionPool(ExecutionConfig(threads=8, result_cache=False))
+    spawn = 0.0
+    if parallel:
+        pool.parallel_offload_threshold = 0  # every count burst offloads
+        session = pool.session("bench", graph)
+        t0 = time.perf_counter()
+        # Bench-only: spawn the pool's shard workers up front.
+        pool._runtime_for("bench", session, lanes).ping()
+        spawn = time.perf_counter() - t0
     _submit(pool, graph)
-    t0 = time.perf_counter()
-    results = pool.run(lanes=lanes, parallel=True)
-    wall = time.perf_counter() - t0
-    return pool, results, wall
+    results = pool.run(lanes=lanes, parallel=parallel)
+    report = pool.last_parallel.get("bench")
+    model = pool.last_schedules["bench"].what_if(lanes)
+    walls = []
+    for __ in range(WARM_BATCHES):
+        _submit(pool, graph)
+        t0 = time.perf_counter()
+        warm = pool.run(lanes=lanes, parallel=parallel)
+        walls.append(time.perf_counter() - t0)
+        assert all(r.ok for r in warm)
+    return pool, results, report, model, spawn, median(walls)
 
 
 def _measure():
     graph = gnp_random_graph(N, P, seed=3)
+    plans = TENANTS * len(SOAK_WORKLOADS)
 
-    # Sequential oracle: the same batch through the scheduled path
+    # Sequential oracle: the same batches through the scheduled path
     # without workers — identical certification, identical ledgers.
-    pool_seq = SessionPool(threads=8)
-    plans = _submit(pool_seq, graph)
-    t0 = time.perf_counter()
-    seq = pool_seq.run(lanes=LANES)
-    wall_seq = time.perf_counter() - t0
-
-    pool_one, _one, wall_one = _parallel_run(graph, 1)
-    pool_par, par, wall_par = _parallel_run(graph, LANES)
+    pool_seq, seq, __, __, __, wall_seq = _serve(graph, LANES, False)
+    pool_one, __, __, __, spawn_one, wall_one = _serve(graph, 1, True)
+    pool_par, par, report, model, spawn_par, wall_par = _serve(
+        graph, LANES, True
+    )
 
     # Bit-identity: outputs, modeled cycles and tenant ledgers.
     assert len(par) == plans
@@ -94,20 +126,20 @@ def _measure():
     assert pool_seq.tenant_cycles == pool_par.tenant_cycles
 
     # Exact reconciliation against the certifier's prediction.
-    report = pool_par.last_parallel["bench"]
-    model = pool_par.last_schedules["bench"].what_if(LANES)
     assert report.parallel_cycles == model.makespan + model.merge_cycles
     assert report.merge_cycles == model.merge_cycles
     assert report.offloaded_units > 0 and report.inline_units == 0
 
+    pool_seq.close()
     pool_one.close()
     pool_par.close()
     walls = {"sequential": wall_seq, "lanes_1": wall_one, f"lanes_{LANES}": wall_par}
+    spawns = {"lanes_1": spawn_one, f"lanes_{LANES}": spawn_par}
     speedup = wall_one / wall_par if wall_par > 0 else float("inf")
-    return report, model, walls, speedup
+    return report, model, walls, spawns, speedup
 
 
-def _render(report, model, walls, speedup):
+def _render(report, model, walls, spawns, speedup):
     print("== Parallel serving throughput: soak batch on shard workers ==")
     print(
         f"robustness soak: {TENANTS} tenants x {len(SOAK_WORKLOADS)} "
@@ -130,7 +162,9 @@ def _render(report, model, walls, speedup):
         f"mean {report.lane_mean_occupancy:.3f}"
     )
     for label, wall in walls.items():
-        print(f"wall {label:>12}: {wall:8.3f} s")
+        print(f"wall {label:>12}: {wall:8.4f} s (warm median of {WARM_BATCHES})")
+    for label, spawn in spawns.items():
+        print(f"spawn {label:>11}: {spawn:8.4f} s")
     floor = (
         f"floor {MIN_WALL_SPEEDUP:.1f}x"
         if ENOUGH_CORES
@@ -141,8 +175,11 @@ def _render(report, model, walls, speedup):
 
 
 def test_parallel_throughput(benchmark):
-    report, model, walls, speedup = _measure()
-    emit("parallel_throughput", lambda: _render(report, model, walls, speedup))
+    report, model, walls, spawns, speedup = _measure()
+    emit(
+        "parallel_throughput",
+        lambda: _render(report, model, walls, spawns, speedup),
+    )
     emit_json(
         "parallel_throughput",
         {
@@ -157,8 +194,14 @@ def test_parallel_throughput(benchmark):
             "lane_max_occupancy": report.lane_max_occupancy,
             "lane_mean_occupancy": report.lane_mean_occupancy,
             "wall_seconds": walls,
+            "warm_batches": WARM_BATCHES,
+            "spawn_seconds": spawns,
             "wall_speedup": speedup,
-            "cores": os.cpu_count(),
+            "machine": {
+                "nproc": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
             "wall_floor_enforced": ENOUGH_CORES,
         },
         floors={"min_wall_speedup": MIN_WALL_SPEEDUP},
@@ -166,8 +209,9 @@ def test_parallel_throughput(benchmark):
     if ENOUGH_CORES:
         assert speedup >= MIN_WALL_SPEEDUP, (speedup, MIN_WALL_SPEEDUP)
 
-    # The per-unit synchronization overhead every offloaded burst pays:
-    # one broadcast/collect round trip across all live shard workers.
+    # The synchronization overhead every worker message (one fan-out
+    # chunk, or one other burst) pays: one broadcast/collect round trip
+    # across all live shard workers.
     pool = SessionPool(threads=8)
     pool.parallel_offload_threshold = 0
     _submit(pool, gnp_random_graph(N, P, seed=3))

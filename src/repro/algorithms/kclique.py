@@ -78,10 +78,17 @@ def kclique_count_on(
 
     Pure counting runs (no ``collect``, no pattern cutoff) use the
     zero-materialization counting fast path at the deepest level,
-    batched over each candidate frontier.
+    batched over each candidate frontier.  At ``k = 3`` that recursion
+    is, task for task, the per-burst loop of
+    :meth:`~repro.runtime.context.SisaContext.fanout_counts` over
+    ``N+`` (``begin_task``, the charged scan of ``N+(u)``, then
+    ``|N+(u) ∩ N+(v)|`` for every ``v ∈ N+(u)``), so it runs as that
+    chunked program.
     """
     if k < 2:
         raise ConfigError("k must be at least 2")
+    if k == 3 and max_patterns is None and not collect:
+        return int(ctx.fanout_counts(sg.set_ids).sum())
     budget = PatternBudget(max_patterns)
     cliques: list[tuple[int, ...]] | None = [] if collect else None
     total = 0

@@ -155,9 +155,10 @@ def main(argv: list[str] | None = None) -> int:
         "--offload-threshold",
         type=int,
         default=0,
-        metavar="CYCLES",
-        help="operand-cardinality threshold above which a count burst "
-        "offloads to the workers (default 0: offload everything)",
+        metavar="ELEMENTS",
+        help="payload (|A| + sum of |B_i|, in set elements) at or above "
+        "which a count burst offloads to the workers (default 0: "
+        "offload everything)",
     )
     args = parser.parse_args(argv)
     if not args.soak:

@@ -2,20 +2,26 @@
 
 :class:`ParallelExecutor` subclasses the scheduled
 :class:`~repro.session.plan.PlanExecutor` replay and overrides exactly
-three seams:
+four seams:
 
 * :meth:`_before_node` — the :class:`LaneGate` admits a node only when
   every ``happens_before`` ancestor completed, presenting the lane
   ticket the certifier's deterministic list scheduler assigned;
-* :meth:`_counts` — count-form burst units fan out to the
-  :class:`~repro.parallel.workers.ShardRuntime` (per-shard partial
-  counts, merged in fixed shard order) and feed the merged array back
-  into the runtime's dispatch seam, which still performs the identical
-  SCU dispatch, engine charge and tracing — so modeled cycles, ledgers
-  and outputs are bit-identical to the sequential replay;
+* :meth:`_fanout` — a neighbourhood fan-out stage runs as the
+  sequential replay's chunked program with the
+  :class:`~repro.parallel.workers.ShardRuntime` as its count provider:
+  each chunk's offloaded bursts go to the workers in one message;
+* :meth:`_counts` — every other count-form burst unit (the
+  ``similarity_pairs`` frontiers) goes to the runtime one burst per
+  message;
 * :meth:`_after_node` — the gate marks the node complete and the
   :class:`~repro.parallel.merge.MergeLedger` charges the modeled host
   merges owed by the node's cross-lane in-edges.
+
+Worker counts are per-shard partials merged in fixed shard order and
+fed back into the runtime's dispatch seams, which still perform the
+identical SCU dispatch, engine charge and tracing — so modeled cycles,
+ledgers and outputs are bit-identical to the sequential replay.
 
 After the batch, :meth:`execute` reconciles measured per-node costs
 against :meth:`CertifiedSchedule.what_if` (exact equality, or
@@ -26,11 +32,13 @@ lane-utilization gauges to the observability hub.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import ConfigError, SisaError
 from repro.parallel.merge import MergeLedger, ParallelReport, reconcile
-from repro.session.plan import BurstUnit, PlanExecutor
+from repro.session.plan import BurstUnit, Fanout, PlanExecutor
 
 
 class LaneGate:
@@ -119,7 +127,7 @@ class ParallelExecutor(PlanExecutor):
         self._inline_before = runtime.inline_units
         self.report: ParallelReport | None = None
 
-    # -- the three seams -----------------------------------------------
+    # -- the four seams ------------------------------------------------
 
     def _before_node(self, node_id: int) -> None:
         self.gate.admit(node_id)
@@ -127,6 +135,10 @@ class ParallelExecutor(PlanExecutor):
     def _after_node(self, node_id: int, cycles: float) -> None:
         self.gate.complete(node_id)
         self.ledger.charge(node_id)
+
+    def _fanout(self, fanout: Fanout, state: dict, opcodes: dict) -> None:
+        provider = partial(self.runtime.fanout_partials, self.session)
+        fanout.run(self.session, state, provider=provider, opcodes=opcodes)
 
     def _counts(self, unit: BurstUnit) -> np.ndarray:
         inter = self.runtime.partial_counts(

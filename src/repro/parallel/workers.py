@@ -2,19 +2,22 @@
 
 Each worker process owns exactly one shard of the vertex universe and
 serves *per-shard partial intersection counts*: for a burst ``A op
-B_1..B_k`` it computes ``|A ∩ B_i ∩ S_shard|`` for every operand and
-posts the row into the shared result arena.  Because the shards
-partition the universe, the host's fixed-order merge of the rows is the
-exact integer ``|A ∩ B_i|`` the sequential kernel computes — union and
-difference counts derive from it by the same identities the batch
-runtime uses, so outputs are bit-identical by construction.
+B_1..B_k`` it computes ``|A ∩ B_i ∩ S_shard|`` for every operand (for
+a chunk of neighbourhood fan-out ops, ``|N(v_i) ∩ N(u_i) ∩ S_shard|``
+for every pair) and posts the row into the shared result arena.
+Because the shards partition the universe, the host's fixed-order
+merge of the rows is the exact integer ``|A ∩ B_i|`` the sequential
+kernel computes — union and difference counts derive from it by the
+same identities the batch runtime uses, so outputs are bit-identical
+by construction.
 
 Spawn-safety: workers are started from the ``spawn`` context with a
 module-level target (no pickled closures, no inherited host state) and
 attach every input zero-copy through the
 :class:`~repro.parallel.shards.SharedArray` specs in their bootstrap
 message.  This module is deliberately import-light — numpy, the
-stdlib, :mod:`repro.errors` and the sibling shard/ownership modules —
+stdlib, :mod:`repro.errors`, the flat set kernels of
+:mod:`repro.sets.kernels` and the sibling shard/ownership modules —
 so a worker never imports the host-side session, serving or analysis
 stacks (the ``parallel-unsafe-access`` repolint rule enforces this
 statically).
@@ -26,6 +29,9 @@ Protocol (host → worker over a duplex pipe):
 * ``("countv", seq, a_spec, source, vertices)`` — homogeneous fast
   path: every ``B_i`` is ``source``'s set of ``vertices[i]``;
 * ``("count", seq, a_spec, b_specs)`` — mixed operands;
+* ``("pairs", seq, source, v_rows, u_rows)`` — one fan-out chunk's
+  offloaded ops: ``|N(v_rows[i]) ∩ N(u_rows[i])|`` over ``source``'s
+  sets;
 * ``("ping", seq)`` — liveness probe;
 * ``("exit", code)`` — hard-exit (crash injection for tests);
 * ``("stop",)`` — orderly shutdown.
@@ -53,6 +59,7 @@ from repro.parallel.shards import (
     SharedArray,
     setgraph_csr,
 )
+from repro.sets.kernels import intersect_count_rows
 
 #: Below this many scanned elements (|A| + Σ|B_i|) a burst computes
 #: inline on the host: the pipe round trip would cost more wall time
@@ -84,7 +91,8 @@ class _ShardWorker:
         self._arena = SharedArray.attach(base["arena"])
         self._scratch = SharedArray.attach(base["scratch"])
         # source -> (offsets, values, filtered_offsets, filtered_values,
-        #            offsets_seg, values_seg)
+        #            offsets_seg, values_seg, filtered_cards,
+        #            filtered_keys)
         self._sources: dict[str, tuple] = {}
         self._lut = np.zeros(self.n, dtype=bool)
 
@@ -94,7 +102,9 @@ class _ShardWorker:
         The full CSR stays a zero-copy shared mapping (used to resolve
         probe sets ``A`` in full); the filtered slice — only the
         elements this shard owns — is private, and is what splits the
-        frontier scan evenly across workers.
+        frontier scan evenly across workers.  Its rows stay sorted, so
+        its ``row * n + element`` keys, built here once, are sorted too
+        (the flat pair probe of :meth:`count_pairs`).
         """
         name = spec["source"]
         stale = self._sources.pop(name, None)
@@ -110,8 +120,12 @@ class _ShardWorker:
         cum = np.zeros(values.size + 1, dtype=np.int64)
         np.cumsum(keep, dtype=np.int64, out=cum[1:])
         foffsets = cum[offsets]
+        fcards = np.diff(foffsets)
+        fkeys = np.repeat(np.arange(fcards.size, dtype=np.int64), fcards)
+        fkeys *= self.n
+        fkeys += fvalues
         self._sources[name] = (
-            offsets, values, foffsets, fvalues, off_seg, val_seg
+            offsets, values, foffsets, fvalues, off_seg, val_seg, fcards, fkeys
         )
 
     # -- operand resolution --------------------------------------------
@@ -174,6 +188,17 @@ class _ShardWorker:
         self._arena.array[self.shard, :vertices.size] = counts
         lut[a_els] = False
 
+    def count_pairs(
+        self, source: str, v_rows: np.ndarray, u_rows: np.ndarray
+    ) -> None:
+        """Fan-out chunk: ``|N(v_i) ∩ N(u_i) ∩ S_shard|`` for every pair
+        of ``source``'s rows, one flat probe over the shard-filtered
+        CSR."""
+        __, __, fo, fv, __, __, fcards, fkeys = self._sources[source]
+        self._arena.array[self.shard, :v_rows.size] = intersect_count_rows(
+            fo, fcards, fv, fkeys, self.n, v_rows, u_rows
+        )
+
     def count_mixed(self, a_spec, b_specs: list) -> None:
         a_els = self._probe_elements(a_spec)
         lut = self._lut
@@ -212,6 +237,9 @@ def _worker_main(shard: int, conn, base: dict[str, Any]) -> None:
                 conn.send(("ok", seq))
             elif kind == "count":
                 worker.count_mixed(message[2], message[3])
+                conn.send(("ok", seq))
+            elif kind == "pairs":
+                worker.count_pairs(message[2], message[3], message[4])
                 conn.send(("ok", seq))
             elif kind == "ping":
                 conn.send(("ok", seq))
@@ -281,6 +309,9 @@ class ShardRuntime:
         self.reply_timeout = float(reply_timeout)
         self.store = ShardStore(
             self.plan,
+            # A row per message: a burst has fewer than n operands, and
+            # a fan-out chunk at most FANOUT_CHUNK_OPS (1024) ops or one
+            # task's.
             arena_width=max(n, 1024),
             scratch_elements=max(4 * n, 0),
         )
@@ -419,6 +450,67 @@ class ShardRuntime:
             self._expect_ok(k, seq)
         self.offloaded_units += 1
         return self._merge_arena(n_b)
+
+    def fanout_partials(self, session, program) -> np.ndarray | None:
+        """The current chunk of a fan-out ``program``
+        (:class:`~repro.runtime.context.FanoutProgram`) counted with the
+        workers: ``|N(v) ∩ N(u)|`` for every op of the chunk, or
+        ``None`` when every task of the chunk runs inline (the program
+        then counts them on the host).
+
+        Each task is one burst and takes :meth:`partial_counts`'
+        decision: it offloads when its payload ``|N(v)| + Σ_u |N(u)|``
+        reaches the offload threshold, the runtime is open, the vertex
+        count matches the shard plan and the fan-out's SetGraph is a
+        staged source.  The offloaded tasks' ops go to every worker in
+        one ``pairs`` message and their arena rows merge in fixed shard
+        order; the inline tasks' ops are counted on the host over only
+        their rows.  The burst counters count tasks."""
+        bounds = np.asarray(program.bounds)
+        degrees = bounds[1:] - bounds[:-1]
+        bursts = int(np.count_nonzero(degrees))
+        cards = program.table.cards
+        cum = np.zeros(bounds[-1] + 1, dtype=np.int64)
+        np.cumsum(cards[program.b_rows], out=cum[1:])
+        payload = cards[program.v0:program.v1] + cum[bounds[1:]] - cum[bounds[:-1]]
+        offload = (degrees > 0) & (payload >= self.offload_threshold)
+        source = None
+        if (
+            not self.closed
+            and session.graph.num_vertices == self.plan.shard_of.size
+            and offload.any()
+        ):
+            self._refresh(session)
+            source = next(
+                (
+                    name
+                    for name, sg in self._source_graphs.items()
+                    if sg.set_ids is program.set_ids
+                ),
+                None,
+            )
+        if source is None:
+            self.inline_units += bursts
+            return None
+        ops = np.repeat(offload, degrees)
+        v_rows = program.a_rows[ops]
+        u_rows = program.b_rows[ops]
+        self._seq += 1
+        seq = self._seq
+        self._broadcast(("pairs", seq, source, v_rows, u_rows))
+        for k in range(self.shards):
+            self._expect_ok(k, seq)
+        counts = np.empty(ops.size, dtype=np.int64)
+        counts[ops] = self._merge_arena(v_rows.size)
+        inline = ~ops
+        if inline.any():
+            counts[inline] = program.rows.intersect_counts(
+                program.a_rows[inline], program.b_rows[inline]
+            )
+        offloaded = int(np.count_nonzero(offload))
+        self.offloaded_units += offloaded
+        self.inline_units += bursts - offloaded
+        return counts
 
     def _merge_arena(self, n_b: int) -> np.ndarray:
         from repro.parallel.merge import merge_partials

@@ -268,31 +268,18 @@ class FanoutRows:
     def intersect_counts(
         self, a_rows: np.ndarray, b_rows: np.ndarray
     ) -> np.ndarray:
-        """``|row a_i ∩ row b_i|`` for every pair, in one flat probe:
-        the smaller row's elements are searched among the larger row's
-        keys.  Equals :func:`intersect_counts` pair by pair."""
-        cards = self.cards
-        ca = cards[a_rows]
-        cb = cards[b_rows]
-        swap = ca > cb
-        small = np.where(swap, b_rows, a_rows)
-        big = np.where(swap, a_rows, b_rows)
-        lens = np.minimum(ca, cb)
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        total = int(ends[-1]) if ends.size else 0
-        if total == 0:
-            return np.zeros(a_rows.size, dtype=np.int64)
-        pos = np.arange(total, dtype=np.int64)
-        pos += np.repeat(self.indptr[small] - starts, lens)
-        probe = self.col[pos]
-        probe += np.repeat(big * self.universe, lens)
-        keys = self.keys
-        idx = np.searchsorted(keys, probe)
-        np.minimum(idx, keys.size - 1, out=idx)
-        hit = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(keys[idx] == probe, out=hit[1:])
-        return hit[ends] - hit[starts]
+        """``|row a_i ∩ row b_i|`` for every pair, in one flat probe
+        (:func:`~repro.sets.kernels.intersect_count_rows`).  Equals
+        :func:`intersect_counts` pair by pair."""
+        return kernels.intersect_count_rows(
+            self.indptr,
+            self.cards,
+            self.col,
+            self.keys,
+            self.universe,
+            a_rows,
+            b_rows,
+        )
 
 
 def derive_counts(

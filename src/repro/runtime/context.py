@@ -62,12 +62,26 @@ class FanoutProgram:
     The operand table (:class:`~repro.isa.scu.OperandTable`) and the
     element rows (:class:`~repro.runtime.batch.FanoutRows`) are built
     once; chunks of consecutive tasks are built one at a time, on
-    demand: each chunk's op rows, its counts from one flat probe, and
-    its operand shape codes.  Building touches no modeled state.
+    demand: each chunk's op rows, its counts, and its operand shape
+    codes.  Building touches no modeled state.
+
+    ``provider``, when given, is called once per chunk that has ops,
+    with the program (chunk current, op rows built), and returns the
+    chunk's per-op ``|N(v) ∩ N(u)|`` array, or ``None`` to count with
+    the host's flat probe (:meth:`~repro.runtime.batch.FanoutRows.
+    intersect_counts`) — the fan-out analogue of
+    :meth:`SisaContext._count_batch`'s ``inter``, through which the
+    shard-parallel workers of :mod:`repro.parallel` feed their counts.
+
+    ``opcodes``, when given, is a dict to which every dispatched chunk
+    adds the opcodes its bursts issued (see :meth:`issued`).
     """
 
-    def __init__(self, sm, set_ids):
+    def __init__(self, sm, set_ids, provider=None, opcodes=None):
         metas = sm.metas_of(set_ids)
+        self.set_ids = set_ids
+        self.provider = provider
+        self.opcodes = opcodes
         self.table = OperandTable(SetOp.INTERSECT_COUNT, metas)
         self.rows = batchmod.FanoutRows(
             sm.values_of(set_ids), metas[0].universe if metas else 0
@@ -97,11 +111,33 @@ class FanoutProgram:
         self.b_rows = rows.col[lo:lo + k]
         self.ids = table.ids[self.b_rows].tolist()
         self.cards = table.cards[self.b_rows].tolist()
-        self.counts = rows.intersect_counts(self.a_rows, self.b_rows)
+        counts = self.provider(self) if self.provider is not None else None
+        if counts is None:
+            counts = rows.intersect_counts(self.a_rows, self.b_rows)
+        self.counts = counts
         self.codes = table.shape_codes(self.a_rows, self.b_rows).tolist()
         cum = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(self.counts, out=cum[1:])
         self.sums = cum[bounds[1:]] - cum[bounds[:-1]]
+
+    def issued(self, shape: np.ndarray, by_opcode: dict) -> None:
+        """Add the opcodes of the current chunk's dispatched ops (table
+        entries ``shape``) to :attr:`opcodes` in the order adding one
+        stats delta per burst would add them: by the burst of their
+        first op, a burst's new ones in ``by_opcode``'s (the SCU's
+        global) key order."""
+        seen = self.opcodes
+        opcodes = self.table.opcodes
+        entries, first = np.unique(shape, return_index=True)
+        tasks = np.searchsorted(self.bounds, first, side="right")
+        new: dict = {}
+        for e, t in zip(entries.tolist(), tasks.tolist()):
+            opcode = opcodes[e]
+            if opcode not in seen and t < new.get(opcode, t + 1):
+                new[opcode] = t
+        rank = {opcode: r for r, opcode in enumerate(by_opcode)}
+        for opcode in sorted(new, key=lambda op: (new[op], rank[op])):
+            seen[opcode] = None
 
 
 @dataclass
@@ -593,9 +629,13 @@ class SisaContext:
                 )
         return counts
 
-    def fanout_counts(self, set_ids) -> np.ndarray:
+    def fanout_counts(
+        self, set_ids, *, provider=None, opcodes=None
+    ) -> np.ndarray:
         """Per-vertex ``Σ_{u ∈ N(v)} |N(v) ∩ N(u)|`` over a whole
-        neighbourhood fan-out, run as one chunked array program.
+        neighbourhood fan-out, run as one chunked array program
+        (``provider`` and ``opcodes`` as :class:`FanoutProgram` takes
+        them).
 
         ``set_ids[v]`` names ``N(v)``, whose elements are vertices.  The
         instruction stream, and with it every modeled cycle, stat, SMB
@@ -618,7 +658,7 @@ class SisaContext:
         sums = np.zeros(n, dtype=np.int64)
         if n == 0:
             return sums
-        program = FanoutProgram(self.sm, set_ids)
+        program = FanoutProgram(self.sm, set_ids, provider, opcodes)
         while program.v1 < n:
             program.chunk(program.v1)
             self._fanout_chunk(program, sums)
@@ -646,6 +686,8 @@ class SisaContext:
         fd = self.scu.dispatch_count_fanout(
             table, program.a_rows, program.b_rows, program.codes
         )
+        if program.opcodes is not None:
+            program.issued(fd.shape, self.scu.stats.by_opcode)
         compute, memory, latency = fd.compute, fd.memory, fd.latency
         trace = self.trace if self.trace.enabled else None
         span_cycles = 0.0
@@ -694,6 +736,22 @@ class SisaContext:
             engine.charge(scan_costs.get(size) or self._scan_cost(size))
             if size:
                 yield v, lane
+
+    def fanout_burst(self, program: FanoutProgram, v: int):
+        """Issue task ``v``'s burst of ``program`` unfused, in place, on
+        the current lane (the task :meth:`fanout_tasks` just opened):
+        the instruction stream of ``intersect_count_batch(set_ids[v],
+        [set_ids[u] for u in N(v)])``, counted by the program's chunk
+        probe.  Returns the burst sum."""
+        if not program.v0 <= v < program.v1:
+            program.chunk(v)
+        t = v - program.v0
+        i0 = program.bounds[t]
+        i1 = program.bounds[t + 1]
+        self.intersect_count_batch(
+            program.set_ids[v], program.ids[i0:i1], inter=program.counts[i0:i1]
+        )
+        return program.sums[t]
 
     def fused_fanout(
         self, tasks, groups: list[int], *, include_decode: bool, enter

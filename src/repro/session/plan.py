@@ -31,7 +31,9 @@ about to run.  The plan/execute split introduces that visibility:
 
   Given a certified schedule, the executor replays the batch node by
   node in the schedule's order on the same step loop, with burst fusion
-  off.
+  off; a node runs to completion, so a neighbourhood fan-out stage
+  (:class:`Fanout`) is one chunked
+  :meth:`~repro.runtime.context.SisaContext.fanout_counts` program.
 
 Fusion lane-placement rule (the explicit contract the ROADMAP's
 "cross-task batching" item asked for): every constituent burst still
@@ -49,7 +51,8 @@ other burst (:class:`BurstUnit`) through
 :meth:`~repro.runtime.context.SisaContext.fused_count_burst`.  Burst
 fusion is an SCU capability: on the ``cpu-set`` host baseline the
 executor falls back to the unfused batched stream (prep sharing and
-dedup still apply).
+dedup still apply), issuing each fan-out task's burst in place as soon
+as the task opens.
 
 Per-plan accounting under fusion uses the engine's per-tenant marks
 (:meth:`~repro.hw.engine.ExecutionEngine.set_tenant`): every execution
@@ -97,10 +100,11 @@ class BurstUnit:
     (:meth:`~repro.runtime.context.SisaContext.fused_count_burst`) — and
     hands the counts to ``sink``, which performs the remaining charged
     work of the task (e.g. cardinality fetches) and folds the counts
-    into the stage state.  Fused execution of a :class:`Fanout` stage
-    buffers :class:`FanoutStep` records instead; its units serve the
-    scheduled, parallel and ``cpu-set`` paths, which issue bursts one
-    at a time.
+    into the stage state.  Burst stages without a :class:`Fanout`
+    (``similarity_pairs``) run as units on every path; a fan-out
+    stage's units (:meth:`Fanout.units`) are its per-burst reference,
+    which the dynamic effect checker walks and the tests compare every
+    execution form against.
     """
 
     a: int
@@ -143,11 +147,13 @@ class Fanout:
     the same instruction stream.  :meth:`run` executes the whole stage
     as one :meth:`~repro.runtime.context.SisaContext.fanout_counts`
     program and folds every vertex at once (``v``/``s`` aligned
-    arrays).  :meth:`steps` opens the tasks one by one for the fused
-    executor, which issues their bursts macro by macro over the same
-    chunked program.  :meth:`units` yields one :class:`BurstUnit` per
-    non-empty neighbourhood for the scheduled and parallel executors and
-    the ``cpu-set`` fallback.  The last two fold one vertex at a time
+    arrays), for sequential execution and scheduled replay (whose
+    parallel form passes the program a count provider).  :meth:`steps`
+    opens the tasks one by one for the round-robin step loop, which
+    issues their bursts over the same chunked program, macro by macro
+    when fused and in place on the ``cpu-set`` fallback.  :meth:`units`
+    yields one :class:`BurstUnit` per non-empty neighbourhood: the
+    per-burst reference form.  The last two fold one vertex at a time
     (``v``/``s`` scalars).
     """
 
@@ -161,8 +167,12 @@ class Fanout:
             return session.oriented_setgraph
         return session.setgraph
 
-    def run(self, session, state: dict) -> None:
-        sums = session.ctx.fanout_counts(self.setgraph(session).set_ids)
+    def run(
+        self, session, state: dict, *, provider=None, opcodes=None
+    ) -> None:
+        sums = session.ctx.fanout_counts(
+            self.setgraph(session).set_ids, provider=provider, opcodes=opcodes
+        )
         self.init(state, sums.size)
         self.fold(state, np.arange(sums.size), sums)
 
@@ -206,7 +216,7 @@ def fanout_stage(label: str, key: tuple | None, fanout: Fanout) -> "PlanStage":
     """The burst stage that executes ``fanout`` and yields
     ``state[fanout.slot]``: it reads the fan-out's SetGraph, writes (or,
     when deduped, seeds) the slot, and runs as one chunked program on
-    the sequential and fused paths and as per-vertex units elsewhere."""
+    every path (see :class:`Fanout`)."""
     slot = fanout.slot
     return PlanStage(
         kind="bursts",
@@ -261,9 +271,8 @@ class PlanStage:
     seed: Callable[[dict, Any], None] | None = None
     writes: tuple[str, ...] = ()  # effect tokens executing the stage mutates
     seeds: tuple[str, ...] = ()  # state slots the seed hook installs
-    # A whole-graph fan-out the sequential and fused executors run as
-    # one chunked program (``units`` then derives from it; see
-    # fanout_stage).
+    # A whole-graph fan-out every executor runs as a chunked program
+    # (``units`` then derives from it; see fanout_stage).
     fanout: Fanout | None = None
 
 
@@ -443,7 +452,8 @@ class PlanExecutor:
     shared prep, result-cache sub-request dedup and cross-plan burst
     fusion; one fused macro carries at most :data:`FUSE_WIDTH` buffered
     bursts.  With a ``schedule`` the batch replays node by node on the
-    same step loop (:meth:`_advance`), bursts unfused.
+    same step loop (:meth:`_advance`), bursts unfused and each fan-out
+    stage one chunked program (:meth:`_fanout`).
     """
 
     def __init__(
@@ -888,16 +898,28 @@ class PlanExecutor:
 
     # -- per-unit and per-node extension points ------------------------
 
+    def _fanout(self, fanout: Fanout, state: dict, opcodes: dict) -> None:
+        """Execute one fan-out stage in place as one chunked program
+        (scheduled replay), collecting the opcodes its bursts issue in
+        ``opcodes`` (see :meth:`~repro.runtime.context.FanoutProgram.
+        issued`).
+
+        The shard-parallel executor overrides this seam to supply the
+        program's counts from worker processes, chunk by chunk."""
+        fanout.run(self.session, state, opcodes=opcodes)
+
     def _counts(self, unit: BurstUnit) -> np.ndarray:
         """Execute one burst unit's count batch in place, unfused (the
-        sequential path, the ``cpu-set`` fallback and scheduled replay).
+        units of burst stages without a fan-out, e.g.
+        ``similarity_pairs``, on the sequential path, the ``cpu-set``
+        fallback and scheduled replay).
 
-        The single seam the shard-parallel executor
-        (:class:`repro.parallel.executor.ParallelExecutor`) overrides:
-        it computes the intersection cardinalities on worker processes
-        and feeds them back through the same ``*_count_batch`` dispatch,
-        so modeled cycles and outputs stay bit-identical to this
-        reference implementation.
+        The per-unit seam the shard-parallel executor
+        (:class:`repro.parallel.executor.ParallelExecutor`) overrides
+        beside :meth:`_fanout`: it computes the intersection
+        cardinalities on worker processes and feeds them back through
+        the same ``*_count_batch`` dispatch, so modeled cycles and
+        outputs stay bit-identical to this reference implementation.
         """
         return getattr(self.session.ctx, f"{unit.kind}_count_batch")(
             unit.a, unit.bs
@@ -1045,8 +1067,20 @@ class PlanExecutor:
                     return False
                 self._owners[key] = run
             self._open_stage(run, stage)
+            if stage.fanout is not None and self.schedule is not None:
+                # A replay runs the node to completion: the whole stage
+                # is one chunked program in one slice.
+                opcodes: dict = {}
+                with self._slice(run):
+                    self._fanout(stage.fanout, run.state, opcodes)
+                    # Key the plan's stats in the order one slice per
+                    # burst would have added them.
+                    for opcode in opcodes:
+                        run.stats.by_opcode.setdefault(opcode, 0)
+                self._end_stage(run, stage, key)
+                return True
             with self._attribute(run):
-                if self._fuse_bursts and stage.fanout is not None:
+                if stage.fanout is not None:
                     run.gen = stage.fanout.steps(self.session, run.state)
                 else:
                     run.gen = stage.units(self.session, run.state)
@@ -1057,23 +1091,34 @@ class PlanExecutor:
             # value is complete, then publish it.
             self._flush(buffer)
             run.gen = None
-            run.value = stage.result(run.state)
-            if key is not None:
-                self._publish(key, run.value)
-            self._close_stage(run)
+            self._end_stage(run, stage, key)
             return True
         if self._fuse_bursts:
             buffer.append((unit, run))
             if len(buffer) >= FUSE_WIDTH:
                 self._flush(buffer)
         else:
-            # Host baseline / scheduled replay: execute in place,
-            # unfused.  The unit's task is still current (nothing ran
-            # since its begin_task), so charges land on its lane
-            # naturally.
+            # Host baseline, or a unit of scheduled replay: execute in
+            # place, unfused.  The unit's task is still current
+            # (nothing ran since its begin_task), so charges land on
+            # its lane naturally.
             with self._slice(run):
-                unit.sink(self._counts(unit))
+                if type(unit) is FanoutStep:
+                    unit.sink(
+                        unit.v,
+                        self.session.ctx.fanout_burst(unit.program, unit.v),
+                    )
+                else:
+                    unit.sink(self._counts(unit))
         return True
+
+    def _end_stage(self, run: _PlanRun, stage: PlanStage, key) -> None:
+        """Take an executed burst stage's value, publish it under its
+        dedup key and leave the stage."""
+        run.value = stage.result(run.state)
+        if key is not None:
+            self._publish(key, run.value)
+        self._close_stage(run)
 
     def _finish(self, run: _PlanRun) -> None:
         run.output = run.value

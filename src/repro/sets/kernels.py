@@ -303,6 +303,45 @@ def intersect_count_flat_db(
     return _segment_counts(_probe_bits(words, flat), offsets)
 
 
+def intersect_count_rows(
+    indptr: np.ndarray,
+    cards: np.ndarray,
+    col: np.ndarray,
+    keys: np.ndarray,
+    width: int,
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+) -> np.ndarray:
+    """``|row a_i ∩ row b_i|`` for every pair of rows of one CSR, in one
+    flat probe.
+
+    Row ``r`` is ``col[indptr[r]:indptr[r + 1]]`` (sorted, ``cards[r]``
+    elements, each below ``width``) and ``keys`` holds ``r * width + w``
+    for every element ``w`` of row ``r``, so the keys are globally
+    sorted.  The smaller row of each pair is searched among the larger
+    row's keys."""
+    ca = cards[a_rows]
+    cb = cards[b_rows]
+    swap = ca > cb
+    small = np.where(swap, b_rows, a_rows)
+    big = np.where(swap, a_rows, b_rows)
+    lens = np.minimum(ca, cb)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.zeros(a_rows.size, dtype=np.int64)
+    pos = np.arange(total, dtype=np.int64)
+    pos += np.repeat(indptr[small] - starts, lens)
+    probe = col[pos]
+    probe += np.repeat(big * width, lens)
+    idx = np.searchsorted(keys, probe)
+    np.minimum(idx, keys.size - 1, out=idx)
+    hit = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(keys[idx] == probe, out=hit[1:])
+    return hit[ends] - hit[starts]
+
+
 # ---------------------------------------------------------------------------
 # Generic dispatch (functional semantics; the SCU handles timing)
 # ---------------------------------------------------------------------------

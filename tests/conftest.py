@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from contextlib import contextmanager
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import gnp_random_graph
 from repro.hw.config import HardwareConfig
+from repro.runtime import context as contextmod
 
 
 @pytest.fixture
@@ -96,3 +99,19 @@ def machine_state(ctx):
         }
         state["set_sizes"] = {k: h.as_dict() for k, h in ctx.obs.set_sizes.items()}
     return state
+
+
+#: Fan-out chunk budgets ``(ops, probe)`` for the chunked-program
+#: oracles: one task per chunk, small chunks, and the defaults.
+CHUNK_BUDGETS = [(1, 1), (7, 40), (1024, 16384)]
+
+
+@contextmanager
+def chunk_budgets(ops, probe):
+    """Run with the fan-out chunk budgets set to ``ops`` and ``probe``."""
+    saved = contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE
+    contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = ops, probe
+    try:
+        yield
+    finally:
+        contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = saved

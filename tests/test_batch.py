@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms.clustering import jarvis_patrick_on
 from repro.algorithms.common import oriented_setgraph
+from repro.algorithms import kclique as kcliquemod
+from repro.algorithms.common import PatternBudget
 from repro.algorithms.kclique import four_clique_count_on, kclique_count_on
 from repro.algorithms.similarity import (
     COUNT_MEASURES,
@@ -47,7 +49,7 @@ from repro.sets.bitops import _popcount_unpackbits, popcount
 from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
 
-from conftest import MACHINES, machine_state
+from conftest import CHUNK_BUDGETS, MACHINES, chunk_budgets, machine_state
 
 UNIVERSE = 96
 
@@ -510,3 +512,82 @@ class TestFanoutCounts:
         finally:
             tracemalloc.stop()
         assert peak - start <= 1.5 * 2**20
+
+
+def _kclique3_recursion(ctx, sg):
+    """Uncut ``kclique(k=3)`` as the per-vertex recursion runs it."""
+    budget = PatternBudget(None)
+    total = 0
+    for u in range(sg.num_vertices):
+        ctx.begin_task()
+        total += kcliquemod._count_from(
+            ctx, sg, 2, 3, sg.neighborhood(u), [u], budget, None
+        )
+    return total
+
+
+class TestKcliqueFanout:
+    """Uncut ``kclique(k=3)`` runs as ``fanout_counts`` over ``N+``;
+    the recursion it replaces, on a fresh context, is the oracle."""
+
+    @given(
+        graph=st.one_of(
+            st.builds(
+                gnp_random_graph,
+                st.integers(min_value=2, max_value=40),
+                st.floats(min_value=0.05, max_value=0.6),
+                seed=st.integers(min_value=0, max_value=2**16),
+            ),
+            st.builds(
+                kronecker_graph,
+                st.integers(min_value=3, max_value=7),
+                st.integers(min_value=2, max_value=8),
+                seed=st.integers(min_value=0, max_value=2**16),
+            ),
+        ),
+        mode=st.sampled_from(MODES),
+        machine=st.sampled_from(sorted(MACHINES)),
+        threads=st.sampled_from([1, 4, 32]),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        trace=st.booleans(),
+        observability=st.booleans(),
+        budgets=st.sampled_from(CHUNK_BUDGETS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_k3_matches_the_recursion(
+        self, graph, mode, machine, threads, t, trace, observability, budgets
+    ):
+        def run(fanout):
+            ctx = SisaContext(
+                mode=mode,
+                threads=threads,
+                trace=trace,
+                observability=Observability() if observability else None,
+                **MACHINES[machine],
+            )
+            __, sg = oriented_setgraph(graph, ctx, t=t)
+            if fanout:
+                with chunk_budgets(*budgets):
+                    count = kclique_count_on(ctx, sg, 3)
+            else:
+                count = _kclique3_recursion(ctx, sg)
+            return count, machine_state(ctx)
+
+        got, state = run(True)
+        expected, ref_state = run(False)
+        assert got == expected
+        assert got == kclique_count_nonset(graph, 3).output
+        for field, value in ref_state.items():
+            assert state[field] == value, field
+
+    @pytest.mark.parametrize("limit", [1, 7, 40])
+    def test_cutoff_and_listing_keep_the_recursion(self, limit):
+        graph = kronecker_graph(6, 6, seed=3)
+        ctx = SisaContext(threads=8)
+        __, sg = oriented_setgraph(graph, ctx)
+        assert kclique_count_on(ctx, sg, 3, max_patterns=limit) == (
+            kclique_count_nonset(graph, 3, max_patterns=limit).output
+        )
+        cliques = kclique_count_on(ctx, sg, 3, collect=True)
+        assert len(cliques) == len(set(cliques))
+        assert len(cliques) == kclique_count_nonset(graph, 3).output

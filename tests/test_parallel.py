@@ -28,10 +28,18 @@ from repro.errors import ConfigError, SisaError
 from repro.parallel import ownership
 from repro.parallel.executor import LaneGate
 from repro.parallel.merge import merge_partials
-from repro.parallel.shards import ShardPlan, partition_universe
+from repro.parallel.shards import (
+    PARTITION_POLICIES,
+    ShardPlan,
+    ShardStore,
+    partition_universe,
+)
+from repro.parallel.workers import _ShardWorker
+from repro.runtime.batch import FanoutRows
 from repro.serving import RetryPolicy
 from repro.session import FailedResult, SessionPool
 from repro.session.cache import ResultCache, fingerprint
+from repro.sets.sparse import SparseArray
 
 N = 60
 LANE_WIDTHS = (1, 2, 4)
@@ -93,6 +101,59 @@ class TestMerge:
         merged = merge_partials(arena, 1, 5)
         merged[0] = -1  # must not alias the arena
         assert arena[0, 0] == 0
+
+
+class TestPairKernel:
+    """The workers' fan-out pair kernel, in process: the per-shard
+    partials of random row pairs merge to the host's flat probe."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        shards=st.integers(min_value=1, max_value=4),
+        policy=st.sampled_from(PARTITION_POLICIES),
+    )
+    def test_partials_merge_to_the_host_probe(self, seed, shards, policy):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        sizes = rng.integers(0, 8, size=n)
+        sizes[rng.random(n) < 0.3] = 0  # empty rows
+        hubs = rng.choice(n, size=min(n, 3), replace=False)
+        sizes[hubs] = rng.integers(n // 2, n + 1, size=hubs.size)
+        rows = [
+            np.sort(rng.choice(n, size=int(size), replace=False))
+            for size in sizes
+        ]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        values = np.concatenate(rows).astype(np.int64)
+        k = int(rng.integers(6, 300))
+        v_rows = rng.integers(0, n, size=k)
+        u_rows = rng.integers(0, n, size=k)
+        # Hub against hub, and hub against an empty row where there is
+        # one.
+        h = hubs.size
+        v_rows[:h] = u_rows[h:2 * h] = hubs
+        u_rows[:h] = hubs[::-1]
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            v_rows[h:2 * h] = empty[0]
+        store = ShardStore(
+            ShardPlan.build(sizes, shards, policy=policy),
+            arena_width=max(n, 1024),
+            scratch_elements=0,
+        )
+        try:
+            spec, __ = store.push_source("rows", offsets, values)
+            for shard in range(shards):
+                worker = _ShardWorker(shard, store.base_spec())
+                worker.load(spec)
+                worker.count_pairs("rows", v_rows, u_rows)
+            got = merge_partials(store.arena.array, shards, k)
+        finally:
+            store.close()
+        host = FanoutRows([SparseArray.from_sorted(r, n) for r in rows], n)
+        assert got.tolist() == host.intersect_counts(v_rows, u_rows).tolist()
 
 
 # ---------------------------------------------------------------------------

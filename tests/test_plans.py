@@ -20,7 +20,9 @@ Contracts under test:
   cycles per tenant,
 * the fused executor's chunked fan-out programs leave every result,
   ledger and piece of machine state exactly as the per-unit bursts the
-  same stages declare, strict and hardened.
+  same stages declare, strict and hardened, and so do the whole-stage
+  programs of scheduled replay and shard-parallel execution and the
+  task-by-task program of the ``cpu-set`` fallback.
 """
 
 import dataclasses
@@ -30,17 +32,21 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.static.smoke import SOAK_WORKLOADS
+from repro.analysis.static.racecheck import replay_certified
+from repro.analysis.static.smoke import SOAK_WORKLOADS, make_session
 from repro.errors import ConfigError, SisaError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import chung_lu_graph, gnp_random_graph, kronecker_graph
 from repro.graphs.streams import EdgeBatch, canonical_edges, churn_stream
+from repro.parallel.workers import ShardRuntime
 from repro.runtime import context as contextmod
+from repro.runtime.context import MODES
 from repro.serving import FaultInjector, RetryPolicy
 from repro.session import plan as planmod
+from repro.session.plan import FUSE_WIDTH
 from repro.session import (
     ExecutionConfig,
     SessionPool,
@@ -49,7 +55,7 @@ from repro.session import (
 )
 from repro.session.result import FailedResult
 
-from conftest import MACHINES, machine_state
+from conftest import CHUNK_BUDGETS, MACHINES, chunk_budgets, machine_state
 
 
 def _graph(seed=3, n=60, p=0.12):
@@ -631,16 +637,6 @@ def _per_unit_fanouts():
 
 
 @contextmanager
-def _chunk_budgets(ops, probe):
-    saved = contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE
-    contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = ops, probe
-    try:
-        yield
-    finally:
-        contextmod.FANOUT_CHUNK_OPS, contextmod.FANOUT_CHUNK_PROBE = saved
-
-
-@contextmanager
 def _fuse_width(width):
     saved = planmod.FUSE_WIDTH
     planmod.FUSE_WIDTH = width
@@ -722,7 +718,7 @@ class TestFusedFanout:
         observability=st.booleans(),
         trace=st.booleans(),
         result_cache=st.booleans(),
-        budgets=st.sampled_from([(1, 1), (7, 40), (1024, 16384)]),
+        budgets=st.sampled_from(CHUNK_BUDGETS),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_unit_bursts(
@@ -732,7 +728,7 @@ class TestFusedFanout:
         graph = gnp_random_graph(n, p, seed=seed)
         mix = _fanout_mix(n)
         batch = [(f"tenant-{who}", *mix[i]) for i, who in picks]
-        with _chunk_budgets(*budgets):
+        with chunk_budgets(*budgets):
             _assert_fanouts_exact(
                 graph,
                 batch,
@@ -852,3 +848,225 @@ class TestFusedFanout:
         assert got[2] == expected[2]
         for field, value in expected[3].items():
             assert got[3][field] == value, field
+
+
+# ---------------------------------------------------------------------------
+# Unfused fan-out programs: scheduled replay, shard workers, cpu-set
+# ---------------------------------------------------------------------------
+
+
+def _replay_run(graph, batch, *, per_unit, lanes, order, rounds, **config):
+    """``rounds`` scheduled replays of ``batch`` on a fresh session under
+    the race detector, each in the seeded random topological order
+    ``order`` (the canonical one for ``None``)."""
+    with _per_unit_fanouts() if per_unit else nullcontext():
+        session = SisaSession(graph, ExecutionConfig(**config))
+        results = []
+        for __ in range(rounds):
+            plans = []
+            for tenant, name, params in batch:
+                plan = session.compile(name, **params)
+                plan.tenant = tenant
+                plans.append(plan)
+            replayed, races, __ = replay_certified(
+                session, plans, lanes=lanes, seed=order
+            )
+            assert races == []
+            results += [_result_state(r) for r in replayed]
+    return results, machine_state(session.ctx)
+
+
+#: Graph of the shard-worker cases: its fan-out payloads straddle
+#: MIXED_THRESHOLD, so chunks hold offloaded and inline bursts at once.
+_PARALLEL_GRAPH = make_session(n=300).graph
+MIXED_THRESHOLD = 1300
+
+
+def _parallel_run(batch, *, per_unit, threshold, messages):
+    """The batch on a fresh two-lane pool with ``parallel=True``, once
+    per chunk budget.  Every ``fanout_partials`` call appends the kinds
+    of the worker messages it sent and whether it returned counts to
+    ``messages``."""
+    fanout_partials = ShardRuntime.fanout_partials
+    broadcast = ShardRuntime._broadcast
+    sent: list = []
+
+    def counted_fanout_partials(self, session, program):
+        sent.clear()
+        counts = fanout_partials(self, session, program)
+        messages.append((list(sent), counts is not None))
+        return counts
+
+    def recorded_broadcast(self, message):
+        sent.append(message[0])
+        broadcast(self, message)
+
+    with _per_unit_fanouts() if per_unit else nullcontext():
+        pool = SessionPool(ExecutionConfig(threads=8, result_cache=False))
+        pool.parallel_offload_threshold = threshold
+        session = pool.session("g", _PARALLEL_GRAPH)
+        ShardRuntime.fanout_partials = counted_fanout_partials
+        ShardRuntime._broadcast = recorded_broadcast
+        try:
+            results = []
+            for budgets in CHUNK_BUDGETS:
+                with chunk_budgets(*budgets):
+                    for tenant, name, params in batch:
+                        pool.submit("g", name, tenant=tenant, **params)
+                    batch_results = pool.run(lanes=2, parallel=True)
+                results += [_result_state(r) for r in batch_results]
+                report = pool.last_parallel["g"]
+                results.append((report.offloaded_units, report.inline_units))
+        finally:
+            ShardRuntime.fanout_partials = fanout_partials
+            ShardRuntime._broadcast = broadcast
+            pool.close()
+    return results, pool.tenant_cycles, machine_state(session.ctx)
+
+
+class TestUnfusedFanout:
+    """Scheduled replay and the shard-parallel executor run fan-out
+    stages as whole-stage chunked programs (``PlanExecutor._fanout``),
+    and the ``cpu-set`` fallback steps the program task by task in
+    place; the per-unit ``BurstUnit`` path the same declarations yield
+    is the oracle."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=36),
+        p=st.floats(min_value=0.05, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        picks=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 2)),
+            min_size=1,
+            max_size=9,
+        ),
+        lanes=st.sampled_from([1, 4]),
+        order=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+        mode=st.sampled_from(MODES),
+        threads=st.sampled_from([1, 4, 32]),
+        machine=st.sampled_from(sorted(MACHINES)),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        observability=st.booleans(),
+        trace=st.booleans(),
+        result_cache=st.booleans(),
+        budgets=st.sampled_from(CHUNK_BUDGETS),
+    )
+    # Two bursts of one chunk add stats keys in the opposite of the
+    # SCU's global key order.
+    @example(
+        n=21,
+        p=0.26207092625565753,
+        seed=24,
+        picks=[(5, 1), (0, 1), (2, 1), (4, 1)],
+        lanes=1,
+        order=None,
+        mode="sisa",
+        threads=4,
+        machine="default",
+        t=0.4,
+        observability=False,
+        trace=False,
+        result_cache=False,
+        budgets=(1024, 16384),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_replay_matches_per_unit_bursts(
+        self, n, p, seed, picks, lanes, order, mode, threads, machine, t,
+        observability, trace, result_cache, budgets,
+    ):
+        graph = gnp_random_graph(n, p, seed=seed)
+        mix = _fanout_mix(n)
+        batch = [(f"tenant-{who}", *mix[i]) for i, who in picks]
+        kwargs = dict(
+            lanes=lanes,
+            order=order,
+            rounds=2,
+            mode=mode,
+            threads=threads,
+            t=t,
+            observability=observability,
+            trace=trace,
+            result_cache=result_cache,
+            **MACHINES[machine],
+        )
+        with chunk_budgets(*budgets):
+            got = _replay_run(graph, batch, per_unit=False, **kwargs)
+        expected = _replay_run(graph, batch, per_unit=True, **kwargs)
+        assert got[0] == expected[0]
+        for field, value in expected[1].items():
+            assert got[1][field] == value, field
+
+    @given(
+        n=st.integers(min_value=2, max_value=36),
+        p=st.floats(min_value=0.05, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        picks=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 2)),
+            min_size=1,
+            max_size=9,
+        ),
+        threads=st.sampled_from([1, 4, 32]),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        observability=st.booleans(),
+        budgets=st.sampled_from(CHUNK_BUDGETS),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_cpu_set_round_robin_matches_per_unit_bursts(
+        self, n, p, seed, picks, threads, t, observability, budgets
+    ):
+        """The round-robin loop interleaves plans task by task, so the
+        host baseline keeps that order and issues each task in place."""
+        graph = gnp_random_graph(n, p, seed=seed)
+        mix = _fanout_mix(n)
+        batch = [(f"tenant-{who}", *mix[i]) for i, who in picks]
+        with chunk_budgets(*budgets):
+            _assert_fanouts_exact(
+                graph,
+                batch,
+                rounds=2,
+                fuse_width=FUSE_WIDTH,
+                mode="cpu-set",
+                threads=threads,
+                t=t,
+                trace=True,
+                observability=observability,
+            )
+
+    @pytest.mark.parametrize(
+        "threshold", [0, None, MIXED_THRESHOLD], ids=["all", "default", "mixed"]
+    )
+    def test_shard_workers_match_per_unit_bursts(self, threshold):
+        """Outputs, reports, ledgers, machine state and the offload
+        counters of every chunk budget; at most one worker message per
+        chunk with offloaded bursts, and none for an all-inline one."""
+        pairs = _watchlist(_PARALLEL_GRAPH.num_vertices, 24)
+        batch = [
+            (f"tenant-{t}", name, params)
+            for t in range(2)
+            for name, params in [
+                *SOAK_WORKLOADS,
+                ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}),
+            ]
+        ]
+        messages: list = []
+        got = _parallel_run(
+            batch, per_unit=False, threshold=threshold, messages=messages
+        )
+        expected = _parallel_run(
+            batch, per_unit=True, threshold=threshold, messages=[]
+        )
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+        for field, value in expected[2].items():
+            assert got[2][field] == value, field
+        offloaded = got[0][len(batch)::len(batch) + 1]
+        assert messages
+        for kinds, offloads in messages:
+            sends = [kind for kind in kinds if kind != "load"]
+            assert sends == (["pairs"] if offloads else [])
+        if threshold is None:
+            assert all(units == 0 for units, __ in offloaded)
+        else:
+            assert all(units > 0 for units, __ in offloaded)
+        if threshold == MIXED_THRESHOLD:
+            assert all(inline > 0 for __, inline in offloaded)

@@ -144,7 +144,7 @@ def _render(report, model, walls, spawns, speedup):
     print(
         f"robustness soak: {TENANTS} tenants x {len(SOAK_WORKLOADS)} "
         f"workloads on G(n={N}, p={P}), lanes={LANES}, "
-        f"shards={report.shards} ({report.policy} partition)"
+        f"shards={report.shards} (degree partition)"
     )
     print(
         f"offloaded units: {report.offloaded_units} "

@@ -6,11 +6,11 @@ executes a :class:`~repro.analysis.static.schedule.CertifiedSchedule`
 on actual OS processes:
 
 * :mod:`repro.parallel.shards` — partition the vertex universe
-  (hash or degree-balanced) and stage per-source CSR slices in
+  (degree-balanced) and stage per-source CSR slices in
   ``multiprocessing.shared_memory`` so worker attach is zero-copy;
 * :mod:`repro.parallel.workers` — a spawn-safe process fan-out pool;
-  each worker owns one shard and serves per-shard partial
-  intersection counts into a shared result arena;
+  each worker owns one shard and serves one kernel, per-shard partial
+  intersection counts of row pairs, into a shared result arena;
 * :mod:`repro.parallel.merge` — host-side deterministic merges (fixed
   shard-order integer reduction, bit-identical to sequential) plus the
   merge ledger and the model reconciliation against

@@ -85,8 +85,7 @@ def _run_soak(
         print(
             f"soak[parallel]: {count} plans, {tenants} tenants, "
             f"lanes={lanes}, shards={report.shards} "
-            f"({report.policy} partition, vertices "
-            f"{list(report.shard_vertices)})"
+            f"(degree partition, vertices {list(report.shard_vertices)})"
         )
         print(
             f"  offloaded {report.offloaded_units} unit(s), inline "

@@ -10,10 +10,12 @@ four seams:
 * :meth:`_fanout` — a neighbourhood fan-out stage runs as the
   sequential replay's chunked program with the
   :class:`~repro.parallel.workers.ShardRuntime` as its count provider:
-  each chunk's offloaded bursts go to the workers in one message;
-* :meth:`_counts` — every other count-form burst unit (the
-  ``similarity_pairs`` frontiers) goes to the runtime one burst per
+  each chunk's offloaded bursts go to the workers in one ``pairs``
   message;
+* :meth:`_counts` — every other count-form burst unit (the
+  ``similarity_pairs`` frontiers) goes to the runtime on its own: one
+  ``pairs`` message per offloaded burst, through the same worker
+  kernel;
 * :meth:`_after_node` — the gate marks the node complete and the
   :class:`~repro.parallel.merge.MergeLedger` charges the modeled host
   merges owed by the node's cross-lane in-edges.
@@ -57,11 +59,6 @@ class LaneGate:
         self.schedule = schedule
         self.lane_of = dict(lane_of)
         self._done_mask = 0
-        self.admitted: list[int] = []
-        # Per-lane admitted-node counts (the occupancy gauge source).
-        self.lane_occupancy: list[int] = [0] * (
-            max(self.lane_of.values(), default=-1) + 1
-        )
 
     def admit(self, node_id: int) -> int:
         """Admit ``node_id``; returns its lane ticket."""
@@ -77,16 +74,10 @@ class LaneGate:
                 "happens-before ancestors completed",
                 details={"node": node_id, "incomplete_preds": missing},
             )
-        lane = self.lane_of[node_id]
-        self.admitted.append(node_id)
-        self.lane_occupancy[lane] += 1
-        return lane
+        return self.lane_of[node_id]
 
     def complete(self, node_id: int) -> None:
         self._done_mask |= 1 << int(node_id)
-
-    def is_complete(self, node_id: int) -> bool:
-        return bool((self._done_mask >> int(node_id)) & 1)
 
 
 class ParallelExecutor(PlanExecutor):
@@ -158,7 +149,6 @@ class ParallelExecutor(PlanExecutor):
             self.lanes,
             self.ledger,
             shards=self.runtime.shards,
-            policy=self.runtime.plan.policy,
             shard_vertices=self.runtime.plan.vertex_counts,
             offloaded_units=self.runtime.offloaded_units
             - self._offloaded_before,

@@ -111,7 +111,6 @@ class ParallelReport:
 
     lanes: int
     shards: int
-    policy: str
     makespan: float
     merge_cycles: float
     cross_edges: int
@@ -138,7 +137,6 @@ class ParallelReport:
         return {
             "lanes": self.lanes,
             "shards": self.shards,
-            "policy": self.policy,
             "makespan": self.makespan,
             "merge_cycles": self.merge_cycles,
             "cross_edges": self.cross_edges,
@@ -163,7 +161,6 @@ def reconcile(
     ledger: MergeLedger,
     *,
     shards: int,
-    policy: str,
     shard_vertices: tuple[int, ...],
     offloaded_units: int,
     inline_units: int,
@@ -244,7 +241,6 @@ def reconcile(
     return ParallelReport(
         lanes=lanes,
         shards=shards,
-        policy=policy,
         makespan=makespan,
         merge_cycles=merge,
         cross_edges=cross,

@@ -28,40 +28,20 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-PARTITION_POLICIES = ("degree", "hash")
-
-#: Shared scratch staging area (int64 elements) for explicit operand
-#: sets that are not graph-mapped; sized generously relative to the
-#: universe and grown never — a unit that does not fit simply computes
-#: inline on the host.
-MIN_SCRATCH_ELEMENTS = 65_536
-
-
-def partition_universe(
-    degrees: np.ndarray, shards: int, *, policy: str = "degree"
-) -> np.ndarray:
+def partition_universe(degrees: np.ndarray, shards: int) -> np.ndarray:
     """Assign every vertex to a shard; returns ``shard_of`` (int32).
 
-    ``policy="hash"`` is the stateless ``v % shards`` split;
-    ``policy="degree"`` greedily places vertices in decreasing-degree
-    order onto the currently lightest shard (by degree mass, ties to
-    the lowest shard) — the classic LPT balance heuristic, deterministic
-    for a fixed degree array.
+    Vertices are placed greedily in decreasing-degree order onto the
+    currently lightest shard (by degree mass, ties to the lowest shard)
+    — the classic LPT balance heuristic, deterministic for a fixed
+    degree array.
     """
     if shards < 1:
         raise ConfigError("shards must be positive")
-    if policy not in PARTITION_POLICIES:
-        raise ConfigError(
-            f"partition policy must be one of {PARTITION_POLICIES}, "
-            f"got {policy!r}"
-        )
     degrees = np.asarray(degrees, dtype=np.int64)
     n = degrees.size
     shard_of = np.zeros(n, dtype=np.int32)
     if shards == 1 or n == 0:
-        return shard_of
-    if policy == "hash":
-        shard_of[:] = np.arange(n, dtype=np.int64) % shards
         return shard_of
     order = np.argsort(-degrees, kind="stable")
     loads = [0] * shards
@@ -77,7 +57,6 @@ class ShardPlan:
     """One partition of the vertex universe."""
 
     shards: int
-    policy: str
     shard_of: np.ndarray
 
     @property
@@ -89,13 +68,9 @@ class ShardPlan:
         )
 
     @classmethod
-    def build(
-        cls, degrees: np.ndarray, shards: int, *, policy: str = "degree"
-    ) -> "ShardPlan":
+    def build(cls, degrees: np.ndarray, shards: int) -> "ShardPlan":
         return cls(
-            shards=int(shards),
-            policy=policy,
-            shard_of=partition_universe(degrees, shards, policy=policy),
+            shards=int(shards), shard_of=partition_universe(degrees, shards)
         )
 
 
@@ -214,37 +189,24 @@ def setgraph_csr(ctx, set_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
 class ShardStore:
     """Host-side owner of every shared segment of one runtime.
 
-    Segments: the partition map, the per-shard result arena, the
-    explicit-operand scratch buffer, and one (offsets, values) CSR pair
-    per pushed source.  Pushing a source again (stream epoch advanced,
-    orientation rebuilt) replaces the pair; the old segments are
-    destroyed only after the caller confirmed every worker reloaded.
+    Segments: the partition map, the per-shard result arena, and one
+    (offsets, values) CSR pair per pushed source.  Pushing a source
+    again (stream epoch advanced, orientation rebuilt) replaces the
+    pair; the old segments are destroyed only after the caller
+    confirmed every worker reloaded.
     """
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        *,
-        arena_width: int,
-        scratch_elements: int,
-    ):
+    def __init__(self, plan: ShardPlan, *, arena_width: int):
         self.plan = plan
         self.shard_of = SharedArray.create(plan.shard_of)
         self.arena = SharedArray.zeros(
             (plan.shards, int(arena_width)), np.int64
-        )
-        self.scratch = SharedArray.zeros(
-            max(int(scratch_elements), MIN_SCRATCH_ELEMENTS), np.int64
         )
         self.sources: dict[str, tuple[SharedArray, SharedArray]] = {}
 
     @property
     def arena_width(self) -> int:
         return int(self.arena.array.shape[1])
-
-    @property
-    def scratch_capacity(self) -> int:
-        return int(self.scratch.array.size)
 
     def base_spec(self) -> dict[str, Any]:
         """The picklable worker bootstrap descriptor."""
@@ -253,7 +215,6 @@ class ShardStore:
             "shards": self.plan.shards,
             "shard_of": self.shard_of.spec(),
             "arena": self.arena.spec(),
-            "scratch": self.scratch.spec(),
         }
 
     def push_source(
@@ -275,7 +236,6 @@ class ShardStore:
     def close(self) -> None:
         self.shard_of.destroy()
         self.arena.destroy()
-        self.scratch.destroy()
         for pair in self.sources.values():
             pair[0].destroy()
             pair[1].destroy()

@@ -1,15 +1,16 @@
 """The shard worker pool: spawn-safe process fan-out over shared memory.
 
 Each worker process owns exactly one shard of the vertex universe and
-serves *per-shard partial intersection counts*: for a burst ``A op
-B_1..B_k`` it computes ``|A ∩ B_i ∩ S_shard|`` for every operand (for
-a chunk of neighbourhood fan-out ops, ``|N(v_i) ∩ N(u_i) ∩ S_shard|``
-for every pair) and posts the row into the shared result arena.
-Because the shards partition the universe, the host's fixed-order
-merge of the rows is the exact integer ``|A ∩ B_i|`` the sequential
-kernel computes — union and difference counts derive from it by the
-same identities the batch runtime uses, so outputs are bit-identical
-by construction.
+serves *per-shard partial intersection counts*: for a list of row
+pairs ``(v_i, u_i)`` of one staged source it computes
+``|N(v_i) ∩ N(u_i) ∩ S_shard|`` and posts the row into the shared
+result arena.  A fan-out chunk sends its offloaded ops as such pairs,
+and a burst ``A op B_1..B_k`` whose operands are rows of one source
+sends ``A``'s row once per ``B_i``.  Because the shards partition the
+universe, the host's fixed-order merge of the rows is the exact integer
+``|A ∩ B_i|`` the sequential kernel computes — union and difference
+counts derive from it by the same identities the batch runtime uses,
+so outputs are bit-identical by construction.
 
 Spawn-safety: workers are started from the ``spawn`` context with a
 module-level target (no pickled closures, no inherited host state) and
@@ -17,27 +18,21 @@ attach every input zero-copy through the
 :class:`~repro.parallel.shards.SharedArray` specs in their bootstrap
 message.  This module is deliberately import-light — numpy, the
 stdlib, :mod:`repro.errors`, the flat set kernels of
-:mod:`repro.sets.kernels` and the sibling shard/ownership modules —
-so a worker never imports the host-side session, serving or analysis
-stacks (the ``parallel-unsafe-access`` repolint rule enforces this
-statically).
+:mod:`repro.sets.kernels` and the sibling shard/merge/ownership
+modules — so a worker never imports the host-side session, serving or
+analysis stacks (the ``parallel-unsafe-access`` repolint rule enforces
+this statically).
 
 Protocol (host → worker over a duplex pipe):
 
-* ``("load", spec)`` — attach a source CSR (undirected neighborhoods,
+* ``("load", spec)`` — read a source CSR (undirected neighborhoods,
   oriented ``N+`` sets) and build the private shard-filtered slice;
-* ``("countv", seq, a_spec, source, vertices)`` — homogeneous fast
-  path: every ``B_i`` is ``source``'s set of ``vertices[i]``;
-* ``("count", seq, a_spec, b_specs)`` — mixed operands;
-* ``("pairs", seq, source, v_rows, u_rows)`` — one fan-out chunk's
-  offloaded ops: ``|N(v_rows[i]) ∩ N(u_rows[i])|`` over ``source``'s
-  sets;
+* ``("pairs", seq, source, v_rows, u_rows)`` — the pair-count kernel:
+  ``|N(v_rows[i]) ∩ N(u_rows[i])|`` over ``source``'s sets;
 * ``("ping", seq)`` — liveness probe;
 * ``("exit", code)`` — hard-exit (crash injection for tests);
 * ``("stop",)`` — orderly shutdown.
 
-Operand specs: ``("v", source, vertex)`` reads the shared CSR,
-``("s", offset, length)`` reads the shared scratch staging buffer.
 Every reply is ``("ok", seq)`` / ``("err", seq, message)``.
 """
 
@@ -53,6 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigError, WorkerCrashError
 from repro.parallel import ownership
+from repro.parallel.merge import merge_partials
 from repro.parallel.shards import (
     ShardPlan,
     ShardStore,
@@ -71,7 +67,7 @@ DEFAULT_OFFLOAD_THRESHOLD = 4096
 
 #: Seconds a worker reply may take before the host declares the worker
 #: hung (structured WorkerCrashError instead of an indefinite wait).
-DEFAULT_REPLY_TIMEOUT = 60.0
+REPLY_TIMEOUT = 60.0
 
 _POLL_INTERVAL = 0.02
 
@@ -89,124 +85,49 @@ class _ShardWorker:
         self.n = int(base["n"])
         self._shard_of = SharedArray.attach(base["shard_of"])
         self._arena = SharedArray.attach(base["arena"])
-        self._scratch = SharedArray.attach(base["scratch"])
-        # source -> (offsets, values, filtered_offsets, filtered_values,
-        #            offsets_seg, values_seg, filtered_cards,
+        # source -> (filtered_offsets, filtered_values, filtered_cards,
         #            filtered_keys)
         self._sources: dict[str, tuple] = {}
-        self._lut = np.zeros(self.n, dtype=bool)
 
     def load(self, spec: dict[str, Any]) -> None:
-        """Attach one source CSR and build the shard-filtered slice.
+        """Build the shard-filtered slice of one staged source CSR.
 
-        The full CSR stays a zero-copy shared mapping (used to resolve
-        probe sets ``A`` in full); the filtered slice — only the
-        elements this shard owns — is private, and is what splits the
-        frontier scan evenly across workers.  Its rows stay sorted, so
-        its ``row * n + element`` keys, built here once, are sorted too
-        (the flat pair probe of :meth:`count_pairs`).
+        The slice — only the elements this shard owns — is private, and
+        is what splits the frontier scan evenly across workers; the
+        shared CSR is read only here, and its mapping closed after.
+        Its rows stay sorted, so its ``row * n + element`` keys, built
+        here once, are sorted too (the flat pair probe of
+        :meth:`count_pairs`).
         """
-        name = spec["source"]
-        stale = self._sources.pop(name, None)
-        if stale is not None:
-            stale[4].close()
-            stale[5].close()
         off_seg = SharedArray.attach(spec["offsets"])
         val_seg = SharedArray.attach(spec["values"])
-        offsets = off_seg.array
-        values = val_seg.array
-        keep = self._shard_of.array[values] == self.shard
-        fvalues = values[keep]
-        cum = np.zeros(values.size + 1, dtype=np.int64)
-        np.cumsum(keep, dtype=np.int64, out=cum[1:])
-        foffsets = cum[offsets]
+        try:
+            offsets = off_seg.array
+            values = val_seg.array
+            keep = self._shard_of.array[values] == self.shard
+            fvalues = values[keep]
+            cum = np.zeros(values.size + 1, dtype=np.int64)
+            np.cumsum(keep, dtype=np.int64, out=cum[1:])
+            foffsets = cum[offsets]
+        finally:
+            off_seg.close()
+            val_seg.close()
         fcards = np.diff(foffsets)
         fkeys = np.repeat(np.arange(fcards.size, dtype=np.int64), fcards)
         fkeys *= self.n
         fkeys += fvalues
-        self._sources[name] = (
-            offsets, values, foffsets, fvalues, off_seg, val_seg, fcards, fkeys
-        )
-
-    # -- operand resolution --------------------------------------------
-
-    def _probe_elements(self, spec) -> np.ndarray:
-        """The *full* element array of a probe-set spec (set ``A``)."""
-        tag = spec[0]
-        if tag == "v":
-            offsets, values = self._sources[spec[1]][:2]
-            v = spec[2]
-            return values[offsets[v]:offsets[v + 1]]
-        if tag == "s":
-            off, length = spec[1], spec[2]
-            return self._scratch.array[off:off + length]
-        raise WorkerCrashError(
-            f"unknown operand spec tag {tag!r}",
-            details={"shard": self.shard, "spec": list(spec[:1])},
-        )
-
-    def _shard_count(self, lut: np.ndarray, spec) -> int:
-        """``|A ∩ B ∩ S_shard|`` for one mixed-path operand."""
-        tag = spec[0]
-        if tag == "v":
-            __, __, fo, fv = self._sources[spec[1]][:4]
-            v = spec[2]
-            return int(np.count_nonzero(lut[fv[fo[v]:fo[v + 1]]]))
-        elements = self._probe_elements(spec)
-        mine = self._shard_of.array[elements] == self.shard
-        return int(np.count_nonzero(lut[elements] & mine))
-
-    # -- counting ------------------------------------------------------
-
-    def count_vertices(
-        self, a_spec, source: str, vertices: np.ndarray
-    ) -> None:
-        """Homogeneous burst: counts against ``source``'s sets of
-        ``vertices``, vectorized over the shard-filtered CSR."""
-        __, __, fo, fv = self._sources[source][:4]
-        a_els = self._probe_elements(a_spec)
-        lut = self._lut
-        lut[a_els] = True
-        starts = fo[vertices]
-        lens = fo[vertices + 1] - starts
-        total = int(lens.sum())
-        out_off = np.zeros(vertices.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=out_off[1:])
-        if total:
-            # Standard CSR multi-row gather: flat[i] enumerates every
-            # filtered element of every requested row, in row order.
-            idx = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(out_off[:-1], lens)
-                + np.repeat(starts, lens)
-            )
-            hits = np.zeros(total + 1, dtype=np.int64)
-            np.cumsum(lut[fv[idx]], dtype=np.int64, out=hits[1:])
-            counts = hits[out_off[1:]] - hits[out_off[:-1]]
-        else:
-            counts = np.zeros(vertices.size, dtype=np.int64)
-        self._arena.array[self.shard, :vertices.size] = counts
-        lut[a_els] = False
+        self._sources[spec["source"]] = (foffsets, fvalues, fcards, fkeys)
 
     def count_pairs(
         self, source: str, v_rows: np.ndarray, u_rows: np.ndarray
     ) -> None:
-        """Fan-out chunk: ``|N(v_i) ∩ N(u_i) ∩ S_shard|`` for every pair
-        of ``source``'s rows, one flat probe over the shard-filtered
+        """``|N(v_i) ∩ N(u_i) ∩ S_shard|`` for every pair of
+        ``source``'s rows, one flat probe over the shard-filtered
         CSR."""
-        __, __, fo, fv, __, __, fcards, fkeys = self._sources[source]
+        fo, fv, fcards, fkeys = self._sources[source]
         self._arena.array[self.shard, :v_rows.size] = intersect_count_rows(
             fo, fcards, fv, fkeys, self.n, v_rows, u_rows
         )
-
-    def count_mixed(self, a_spec, b_specs: list) -> None:
-        a_els = self._probe_elements(a_spec)
-        lut = self._lut
-        lut[a_els] = True
-        row = self._arena.array[self.shard]
-        for i, spec in enumerate(b_specs):
-            row[i] = self._shard_count(lut, spec)
-        lut[a_els] = False
 
 
 def _worker_main(shard: int, conn, base: dict[str, Any]) -> None:
@@ -232,12 +153,6 @@ def _worker_main(shard: int, conn, base: dict[str, Any]) -> None:
             if kind == "load":
                 worker.load(message[1])
                 conn.send(("ok", ("load", message[1]["source"])))
-            elif kind == "countv":
-                worker.count_vertices(message[2], message[3], message[4])
-                conn.send(("ok", seq))
-            elif kind == "count":
-                worker.count_mixed(message[2], message[3])
-                conn.send(("ok", seq))
             elif kind == "pairs":
                 worker.count_pairs(message[2], message[3], message[4])
                 conn.send(("ok", seq))
@@ -282,8 +197,9 @@ class ShardRuntime:
     modeled cycles — bit-identical to the sequential reference: the
     runtime never *builds* a session structure, it only mirrors ones
     the plans' own prep stages already built), and answers
-    :meth:`partial_counts` by fanning a burst out to every worker and
-    merging the arena rows in fixed shard order.
+    :meth:`partial_counts` (one burst) and :meth:`fanout_partials` (one
+    fan-out chunk) with one ``pairs`` message to every worker, merging
+    the arena rows in fixed shard order.
 
     A runtime is reusable across batches and epochs (the ~1s spawn cost
     amortizes); :class:`~repro.session.pool.SessionPool` caches one per
@@ -295,30 +211,24 @@ class ShardRuntime:
         session,
         shards: int,
         *,
-        policy: str = "degree",
         offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD,
-        reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
     ):
         if shards < 1:
             raise ConfigError("shards must be positive")
         graph = session.graph
-        n = graph.num_vertices
         self.session = session
-        self.plan = ShardPlan.build(graph.degrees, shards, policy=policy)
+        self.plan = ShardPlan.build(graph.degrees, shards)
         self.offload_threshold = int(offload_threshold)
-        self.reply_timeout = float(reply_timeout)
         self.store = ShardStore(
             self.plan,
             # A row per message: a burst has fewer than n operands, and
             # a fan-out chunk at most FANOUT_CHUNK_OPS (1024) ops or one
             # task's.
-            arena_width=max(n, 1024),
-            scratch_elements=max(4 * n, 0),
+            arena_width=max(graph.num_vertices, 1024),
         )
         self.offloaded_units = 0
         self.inline_units = 0
         self._seq = 0
-        self._cursor = 0
         self._set_map: dict[int, tuple[str, int]] = {}
         self._source_graphs: dict[str, Any] = {}
         self._source_vers: dict[str, tuple] = {}
@@ -397,17 +307,14 @@ class ShardRuntime:
 
     def partial_counts(self, session, a: int, bs) -> np.ndarray | None:
         """Merged ``|A ∩ B_i|`` computed shard-parallel, or ``None``
-        when the burst should run inline (too small to amortize the
-        round trip, or not representable in the staged arenas).  When
-        an array is returned it is element-for-element identical to
+        when the burst should run inline: too small to amortize the
+        round trip, or ``A`` and the ``B_i`` are not all rows of one
+        staged source.  The burst goes to every worker as one ``pairs``
+        message, ``A``'s row repeated for each ``B_i``.  When an array
+        is returned it is element-for-element identical to
         :func:`repro.runtime.batch.intersect_counts`."""
         n_b = len(bs)
-        if (
-            self.closed
-            or n_b == 0
-            or n_b > self.store.arena_width
-            or session.graph.num_vertices != self.plan.shard_of.size
-        ):
+        if n_b == 0 or n_b > self.store.arena_width or not self._open(session):
             self.inline_units += 1
             return None
         sm = session.ctx.sm
@@ -418,38 +325,15 @@ class ShardRuntime:
             self.inline_units += 1
             return None
         self._refresh(session)
-        self._cursor = 0
-        a_spec = self._operand_spec(a, sm)
-        if a_spec is None:
+        rows = [self._set_map.get(int(sid)) for sid in (a, *bs)]
+        if None in rows or len({source for source, __ in rows}) != 1:
             self.inline_units += 1
             return None
-        b_entries = [self._set_map.get(int(b)) for b in bs]
-        sources = {ent[0] for ent in b_entries if ent is not None}
-        self._seq += 1
-        seq = self._seq
-        if None not in b_entries and len(sources) == 1:
-            vertices = np.fromiter(
-                (ent[1] for ent in b_entries), np.int64, n_b
-            )
-            message = ("countv", seq, a_spec, next(iter(sources)), vertices)
-        else:
-            b_specs = []
-            for b, ent in zip(bs, b_entries):
-                spec = (
-                    ("v", ent[0], ent[1])
-                    if ent is not None
-                    else self._operand_spec(int(b), sm)
-                )
-                if spec is None:
-                    self.inline_units += 1
-                    return None
-                b_specs.append(spec)
-            message = ("count", seq, a_spec, b_specs)
-        self._broadcast(message)
-        for k in range(self.shards):
-            self._expect_ok(k, seq)
+        source, v = rows[0]
+        u_rows = np.fromiter((u for __, u in rows[1:]), np.int64, n_b)
+        counts = self._pairs(source, np.full(n_b, v, dtype=np.int64), u_rows)
         self.offloaded_units += 1
-        return self._merge_arena(n_b)
+        return counts
 
     def fanout_partials(self, session, program) -> np.ndarray | None:
         """The current chunk of a fan-out ``program``
@@ -475,11 +359,7 @@ class ShardRuntime:
         payload = cards[program.v0:program.v1] + cum[bounds[1:]] - cum[bounds[:-1]]
         offload = (degrees > 0) & (payload >= self.offload_threshold)
         source = None
-        if (
-            not self.closed
-            and session.graph.num_vertices == self.plan.shard_of.size
-            and offload.any()
-        ):
+        if offload.any() and self._open(session):
             self._refresh(session)
             source = next(
                 (
@@ -493,15 +373,10 @@ class ShardRuntime:
             self.inline_units += bursts
             return None
         ops = np.repeat(offload, degrees)
-        v_rows = program.a_rows[ops]
-        u_rows = program.b_rows[ops]
-        self._seq += 1
-        seq = self._seq
-        self._broadcast(("pairs", seq, source, v_rows, u_rows))
-        for k in range(self.shards):
-            self._expect_ok(k, seq)
         counts = np.empty(ops.size, dtype=np.int64)
-        counts[ops] = self._merge_arena(v_rows.size)
+        counts[ops] = self._pairs(
+            source, program.a_rows[ops], program.b_rows[ops]
+        )
         inline = ~ops
         if inline.any():
             counts[inline] = program.rows.intersect_counts(
@@ -512,30 +387,24 @@ class ShardRuntime:
         self.inline_units += bursts - offloaded
         return counts
 
-    def _merge_arena(self, n_b: int) -> np.ndarray:
-        from repro.parallel.merge import merge_partials
-
-        return merge_partials(self.store.arena.array, self.shards, n_b)
-
-    def _operand_spec(self, sid: int, sm):
-        ent = self._set_map.get(sid)
-        if ent is not None:
-            return ("v", ent[0], ent[1])
-        value = sm.value(sid)
-        # Mirror batch.intersect_counts operand semantics exactly:
-        # sparse arrays are counted over their raw element array.
-        elements = getattr(value, "elements", None)
-        arr = np.asarray(
-            elements if elements is not None else value.to_array(),
-            dtype=np.int64,
+    def _open(self, session) -> bool:
+        """Whether ``session``'s bursts may offload at all: the runtime
+        is open and its shard plan covers the session's vertices."""
+        return (
+            not self.closed
+            and session.graph.num_vertices == self.plan.shard_of.size
         )
-        end = self._cursor + arr.size
-        if end > self.store.scratch_capacity:
-            return None
-        self.store.scratch.array[self._cursor:end] = arr
-        spec = ("s", self._cursor, int(arr.size))
-        self._cursor = end
-        return spec
+
+    def _pairs(self, source: str, v_rows, u_rows) -> np.ndarray:
+        """``|N(v_rows[i]) ∩ N(u_rows[i])|`` over ``source``'s rows: one
+        ``pairs`` message to every worker, their arena rows merged in
+        fixed shard order."""
+        self._seq += 1
+        seq = self._seq
+        self._broadcast(("pairs", seq, source, v_rows, u_rows))
+        for k in range(self.shards):
+            self._expect_ok(k, seq)
+        return merge_partials(self.store.arena.array, self.shards, v_rows.size)
 
     # -- transport -----------------------------------------------------
 
@@ -572,7 +441,7 @@ class ShardRuntime:
     def _recv(self, shard: int):
         conn = self._conns[shard]
         proc = self._procs[shard]
-        deadline = time.monotonic() + self.reply_timeout
+        deadline = time.monotonic() + REPLY_TIMEOUT
         while True:
             try:
                 if conn.poll(_POLL_INTERVAL):
@@ -589,9 +458,7 @@ class ShardRuntime:
                     raise self._crash(shard, "died mid-reply") from exc
                 raise self._crash(shard, "exited without replying")
             if time.monotonic() > deadline:
-                raise self._crash(
-                    shard, f"hung past {self.reply_timeout:.0f}s"
-                )
+                raise self._crash(shard, f"hung past {REPLY_TIMEOUT:.0f}s")
 
     # -- lifecycle -----------------------------------------------------
 

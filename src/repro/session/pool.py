@@ -182,9 +182,8 @@ class SessionPool:
         # One ShardRuntime per session key under parallel=True, reused
         # across run() calls (the worker spawn cost amortizes).
         self._runtimes: dict[Any, Any] = {}
-        # Parallel-execution knobs (read when a runtime is created;
+        # Parallel-execution knob (read when a runtime is created;
         # adjust before the first parallel run).
-        self.parallel_policy = "degree"
         self.parallel_offload_threshold: int | None = None
 
     @property
@@ -287,7 +286,6 @@ class SessionPool:
             runtime = ShardRuntime(
                 session,
                 shards,
-                policy=self.parallel_policy,
                 offload_threshold=(
                     DEFAULT_OFFLOAD_THRESHOLD
                     if threshold is None
@@ -799,7 +797,7 @@ class SessionPool:
             if isinstance(result, FailedResult):
                 attempts += 1
                 last_exc = result.error
-                wasted = _report_work_cycles(session.ctx.report_since(mark))
+                wasted = session.ctx.report_since(mark).work_cycles
                 plan_retry_cycles += wasted
                 self._wasted_cycles += wasted
                 self._tenant_retry_cycles[tenant] = (
@@ -828,7 +826,7 @@ class SessionPool:
         # The hub mirror performs the same float addition in the same
         # order as the ledger dict, so pool.metrics() tenant counters
         # equal pool.tenant_cycles *exactly* (not just approximately).
-        w = _work_cycles(result)
+        w = result.report.work_cycles
         self._tenant_cycles[tenant] = (
             self._tenant_cycles.get(tenant, 0.0) + w
         )
@@ -978,18 +976,3 @@ def _round_robin_by_tenant(entries):
             if not queue:
                 del queues[tenant]
     return ordered
-
-
-def _report_work_cycles(report) -> float:
-    """Total modeled work in one engine report delta: all lanes summed
-    plus the sequential overhead (``runtime_cycles`` folds the latter
-    on top of the slowest lane)."""
-    lanes = report.lane_times
-    sequential = report.runtime_cycles - (max(lanes) if lanes else 0.0)
-    return float(sum(lanes) + sequential)
-
-
-def _work_cycles(result: RunResult) -> float:
-    """Total modeled work attributed to one plan run.  This is the
-    fairness currency; the makespan lives in ``report.runtime_cycles``."""
-    return _report_work_cycles(result.report)

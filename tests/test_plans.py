@@ -884,28 +884,34 @@ MIXED_THRESHOLD = 1300
 
 def _parallel_run(batch, *, per_unit, threshold, messages):
     """The batch on a fresh two-lane pool with ``parallel=True``, once
-    per chunk budget.  Every ``fanout_partials`` call appends the kinds
-    of the worker messages it sent and whether it returned counts to
-    ``messages``."""
-    fanout_partials = ShardRuntime.fanout_partials
-    broadcast = ShardRuntime._broadcast
+    per chunk budget.  Every ``fanout_partials`` and ``partial_counts``
+    call appends the kinds of the worker messages it sent and whether
+    it returned counts to ``messages``."""
+    originals = {
+        name: getattr(ShardRuntime, name)
+        for name in ("fanout_partials", "partial_counts", "_broadcast")
+    }
     sent: list = []
 
-    def counted_fanout_partials(self, session, program):
-        sent.clear()
-        counts = fanout_partials(self, session, program)
-        messages.append((list(sent), counts is not None))
-        return counts
+    def recorded(name):
+        def call(self, session, *operands):
+            sent.clear()
+            counts = originals[name](self, session, *operands)
+            messages.append((list(sent), counts is not None))
+            return counts
+
+        return call
 
     def recorded_broadcast(self, message):
         sent.append(message[0])
-        broadcast(self, message)
+        originals["_broadcast"](self, message)
 
     with _per_unit_fanouts() if per_unit else nullcontext():
         pool = SessionPool(ExecutionConfig(threads=8, result_cache=False))
         pool.parallel_offload_threshold = threshold
         session = pool.session("g", _PARALLEL_GRAPH)
-        ShardRuntime.fanout_partials = counted_fanout_partials
+        ShardRuntime.fanout_partials = recorded("fanout_partials")
+        ShardRuntime.partial_counts = recorded("partial_counts")
         ShardRuntime._broadcast = recorded_broadcast
         try:
             results = []
@@ -918,8 +924,8 @@ def _parallel_run(batch, *, per_unit, threshold, messages):
                 report = pool.last_parallel["g"]
                 results.append((report.offloaded_units, report.inline_units))
         finally:
-            ShardRuntime.fanout_partials = fanout_partials
-            ShardRuntime._broadcast = broadcast
+            for name, original in originals.items():
+                setattr(ShardRuntime, name, original)
             pool.close()
     return results, pool.tenant_cycles, machine_state(session.ctx)
 
@@ -1037,8 +1043,10 @@ class TestUnfusedFanout:
     )
     def test_shard_workers_match_per_unit_bursts(self, threshold):
         """Outputs, reports, ledgers, machine state and the offload
-        counters of every chunk budget; at most one worker message per
-        chunk with offloaded bursts, and none for an all-inline one."""
+        counters of every chunk budget; one ``pairs`` message per chunk
+        with offloaded bursts and per offloaded burst, and none for an
+        all-inline chunk or an inline burst, in the per-unit reference
+        run too."""
         pairs = _watchlist(_PARALLEL_GRAPH.num_vertices, 24)
         batch = [
             (f"tenant-{t}", name, params)
@@ -1046,6 +1054,10 @@ class TestUnfusedFanout:
             for name, params in [
                 *SOAK_WORKLOADS,
                 ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}),
+                (
+                    "similarity_pairs",
+                    {"pairs": pairs, "measure": "total_neighbors"},
+                ),
             ]
         ]
         messages: list = []
@@ -1053,7 +1065,7 @@ class TestUnfusedFanout:
             batch, per_unit=False, threshold=threshold, messages=messages
         )
         expected = _parallel_run(
-            batch, per_unit=True, threshold=threshold, messages=[]
+            batch, per_unit=True, threshold=threshold, messages=messages
         )
         assert got[0] == expected[0]
         assert got[1] == expected[1]

@@ -6,6 +6,10 @@ frontier ``F`` and the unvisited set ``Pi`` are dense bitvectors; the
 top-down step visits ``N(u) ∩ Pi`` and the bottom-up step scans
 ``N(w) ∩ F`` for each unvisited ``w``.  The direction-optimizing
 variant switches on frontier size, as in Beamer et al.
+
+Each level's per-vertex tasks run as one chunked array program
+(:meth:`~repro.runtime.context.SisaContext.bfs_level`), whose
+instruction stream is exactly that of the per-vertex loop.
 """
 
 from __future__ import annotations
@@ -13,13 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.graphs.csr import CSRGraph
-from repro.runtime.context import SisaContext
+from repro.runtime.context import BfsProgram, SisaContext
 from repro.runtime.setgraph import SetGraph
 
 
 def bfs_on(
-    graph: CSRGraph,
     ctx: SisaContext,
     sg: SetGraph,
     root: int,
@@ -29,13 +31,14 @@ def bfs_on(
     """Parent array (root's parent is itself; unreachable is -1)."""
     if direction not in ("top-down", "bottom-up", "auto"):
         raise ConfigError("direction must be top-down, bottom-up, or auto")
-    n = graph.num_vertices
+    n = sg.num_vertices
     if not 0 <= root < n:
         raise ConfigError("root out of range")
     parent = np.full(n, -1, dtype=np.int64)
     parent[root] = root
+    program = BfsProgram(ctx.sm, sg.set_ids, parent)
     unvisited = ctx.create_set(
-        [v for v in range(n) if v != root], universe=n, dense=True
+        np.delete(np.arange(n), root), universe=n, dense=True
     )
     frontier = ctx.create_set([root], universe=n, dense=True)
     while ctx.cardinality(frontier) > 0:
@@ -51,26 +54,10 @@ def bfs_on(
             bottom_up = frontier_size * 8 > max(1, remaining)
         new_frontier = ctx.create_set([], universe=n, dense=True)
         if bottom_up:
-            for w in ctx.elements(unvisited):
-                ctx.begin_task()
-                w = int(w)
-                hits = ctx.intersect(sg.neighborhood(w), frontier)
-                if ctx.cardinality(hits) > 0:
-                    first = int(ctx.elements(hits)[0])
-                    parent[w] = first
-                    ctx.insert(new_frontier, w)
-                ctx.free(hits)
+            tasks, x = ctx.elements(unvisited), frontier
         else:
-            for u in ctx.elements(frontier):
-                ctx.begin_task()
-                u = int(u)
-                reached = ctx.intersect(sg.neighborhood(u), unvisited)
-                for w in ctx.elements(reached):
-                    w = int(w)
-                    if parent[w] == -1:
-                        parent[w] = u
-                        ctx.insert(new_frontier, w)
-                ctx.free(reached)
+            tasks, x = ctx.elements(frontier), unvisited
+        ctx.bfs_level(program, tasks, x, new_frontier, bottom_up=bottom_up)
         ctx.difference_into(unvisited, new_frontier)
         ctx.free(frontier)
         frontier = new_frontier

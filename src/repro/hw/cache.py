@@ -79,6 +79,40 @@ class LruCache:
         stats.misses += len(hits) - n_hits
         return hits
 
+    def access_freeing(self, keys, frees) -> list[bool]:
+        """Touch ``keys`` in order, invalidating each key whose
+        ``frees`` flag is set right after its access; returns one hit
+        flag per access.
+
+        Exactly equivalent to :meth:`access` on each key in turn, with
+        :meth:`invalidate` after the flagged ones (a DELETE's metadata
+        lookup, then its invalidation), in one call."""
+        stats = self.stats
+        if self.capacity == 0:
+            stats.misses += len(keys)
+            return [False] * len(keys)
+        entries = self._entries
+        capacity = self.capacity
+        move = entries.move_to_end
+        evict = entries.popitem
+        hits: list[bool] = []
+        flag = hits.append
+        for key, free in zip(keys, frees):
+            if key in entries:
+                move(key)
+                flag(True)
+            else:
+                entries[key] = None
+                if len(entries) > capacity:
+                    evict(last=False)
+                flag(False)
+            if free:
+                del entries[key]
+        n_hits = hits.count(True)
+        stats.hits += n_hits
+        stats.misses += len(hits) - n_hits
+        return hits
+
     def invalidate(self, key: int) -> None:
         self._entries.pop(key, None)
 

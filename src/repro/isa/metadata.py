@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SetError
 from repro.sets.base import Representation, VertexSet
 
@@ -72,6 +74,33 @@ class SetMetadataTable:
         self._next_address += max(64, value.storage_bits // 8)
         self._values[set_id] = value
         return set_id
+
+    def register_transients(
+        self,
+        storage_bits,
+        representation: Representation,
+        cardinality: int,
+        universe: int,
+    ) -> int:
+        """Register and delete sets of ``storage_bits`` one after
+        another, each deleted before the next is registered, so all
+        take the one recycled slot :meth:`register` would give the
+        first; returns its id.  The last set has ``representation``,
+        ``cardinality`` and ``universe``.  The table ends exactly as
+        after the register/delete pairs; no value is stored."""
+        steps = np.maximum(64, np.asarray(storage_bits, dtype=np.int64) // 8)
+        if self._free:
+            meta = self._free.pop()
+        else:
+            meta = SetMeta(next(self._ids), representation, 0, 0, 0)
+        self.registrations += int(steps.size)
+        meta.representation = representation
+        meta.cardinality = cardinality
+        meta.universe = universe
+        meta.address = self._next_address + int(steps[:-1].sum())
+        self._next_address += int(steps.sum())
+        self._free.append(meta)
+        return meta.set_id
 
     def update(self, set_id: int, value: VertexSet) -> None:
         meta = self.meta(set_id)

@@ -17,7 +17,7 @@ memory acceleration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -138,8 +138,8 @@ class OperandTable:
     The program's instructions address operands by row: row ``r`` is
     ``metas[r]``, with its set id, cardinality and representation in
     aligned arrays, so the operand shapes of a whole chunk of
-    instructions are array lookups.  One table serves one count-form
-    ``op`` over operands of one universe.
+    instructions are array lookups.  One table serves one ``op`` over
+    operands of one universe.
 
     The decision columns grow by one entry per distinct operand shape
     the program has dispatched, in order of first occurrence: the
@@ -193,6 +193,14 @@ class OperandTable:
         mixed = (np.where(da, cb, ca) * 2 + da) * 4 + 1
         return np.where(da & db, 2, np.where(da | db, mixed, sparse))
 
+    def dense_codes(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """One integer per materializing op ``row op D``, ``D`` a dense
+        set, with output ``sizes``, naming its operand shape: the fields
+        of the :meth:`Scu._decide` memo key that vary within a table (a
+        dense row, or a sparse row's cardinality and the output size)."""
+        sparse = (self.cards[rows] * self.width + sizes) * 2 + 1
+        return np.where(self.dense[rows], 0, sparse)
+
     def add(self, decision, increments: list[int]) -> int:
         """Append one shape's decision; returns its entry."""
         opcode, backend, variant, cost = decision
@@ -234,6 +242,21 @@ class FanoutDispatch:
     latency: list[float]
     shape: np.ndarray | list[int]
     owners: list[DispatchStats] = field(default_factory=list)
+
+
+@dataclass
+class BfsDispatch:
+    """Outcome of :meth:`Scu.dispatch_bfs_chunk`: per-item compute,
+    memory and latency in program order (the engine accumulates them
+    like :class:`BatchDispatch`'s), task ``t``'s items at ``bounds[t]
+    .. bounds[t + 1] - 1``, and ``shape[t]``, its intersect's entry in
+    the table's decision columns."""
+
+    compute: list[float]
+    memory: list[float]
+    latency: list[float]
+    bounds: list[int]
+    shape: list[int]
 
 
 class Scu:
@@ -501,7 +524,8 @@ class Scu:
 
     def _resolve(self, table: OperandTable, codes: list[int], operands) -> list[int]:
         """Each op's entry in ``table``'s decision columns, for ops of
-        shape ``codes`` whose operand rows ``operands(i)`` returns.
+        shape ``codes``; ``operands(i)`` returns op ``i``'s
+        :meth:`_decide` arguments after ``table.op``.
 
         A shape new to the table is decided through the :meth:`_decide`
         memo at its first op, in op order, so the memo fills in the
@@ -519,11 +543,8 @@ class Scu:
                 code = codes[i]
                 e = entry_of.get(code)
                 if e is None:
-                    a, b = operands(i)
                     before = _counters(stats)
-                    decision = self._decide(
-                        table.op, table.metas[a], table.metas[b], 0, True
-                    )
+                    decision = self._decide(table.op, *operands(i))
                     e = entry_of[code] = table.add(
                         decision, [x - y for x, y in zip(_counters(stats), before)]
                     )
@@ -622,8 +643,13 @@ class Scu:
         keys[1::2] = table.ids[b_rows]
         hits = np.asarray(self.smb.access_many(keys.tolist()), dtype=bool)
         base = _counters(self.stats)
+        metas = table.metas
         shape = np.asarray(
-            self._resolve(table, codes, lambda i: (a_rows[i], b_rows[i])),
+            self._resolve(
+                table,
+                codes,
+                lambda i: (metas[a_rows[i]], metas[b_rows[i]], 0, True),
+            ),
             dtype=np.int64,
         )
         # Kinds new to the table are numbered in order of first
@@ -701,7 +727,10 @@ class Scu:
         p = 0
         comp = hw.scu_dispatch_cycles if include_decode else 0.0
         for table, a, codes, b_rows, __ in bursts:
-            ops = self._resolve(table, codes, lambda i: (a, b_rows[i]))
+            metas = table.metas
+            ops = self._resolve(
+                table, codes, lambda i: (metas[a], metas[b_rows[i]], 0, True)
+            )
             t_compute = table.compute
             t_memory = table.memory
             t_latency = table.latency
@@ -735,6 +764,190 @@ class Scu:
             if self.obs is not None:
                 self.obs.fused_macro()
         return FanoutDispatch(compute, memory, latency, shape, owners)
+
+    def dispatch_bfs_chunk(
+        self,
+        table: OperandTable,
+        rows: np.ndarray,
+        sizes: np.ndarray,
+        x: SetMeta,
+        slot: int,
+        target: int,
+        inserts: np.ndarray,
+        scanned: np.ndarray,
+        scan,
+        *,
+        counted: bool,
+    ) -> BfsDispatch:
+        """Dispatch one chunk of BFS level tasks at once.
+
+        Task ``t`` is, in program order: the materializing ``INTERSECT``
+        of ``table`` row ``rows[t]`` with the dense set ``x`` into the
+        transient ``slot``, of output size ``sizes[t]``; with
+        ``counted``, the ``CARDINALITY`` of the transient; where
+        ``scanned[t]``, a scan of it, charged ``scan(sizes[t])`` but not
+        an instruction; ``inserts[t]`` element ``INSERT`` ops into the
+        dense set ``target``; and the ``DELETE`` of the transient.  The
+        modeled outcome equals the per-op dispatches of that stream:
+
+        * the SMB replays every lookup, and each DELETE's invalidation
+          right after its lookup, in one
+          :meth:`~repro.hw.cache.LruCache.access_freeing` call;
+        * intersect shapes resolve through :meth:`_resolve`, new ones
+          through the :meth:`_decide` memo in op order;
+        * per-op compute, memory and latency are composed with the same
+          float operations as :meth:`dispatch_binary`,
+          :meth:`dispatch_cardinality`, :meth:`dispatch_element_update`
+          and :meth:`dispatch_delete`;
+        * the stats are updated once, by multiplicity, with new
+          ``by_opcode`` keys and dispatch-feed series in order of first
+          occurrence.
+        """
+        hw = self.hw
+        host = self.host_fallback
+        disp_c = hw.scu_dispatch_cycles
+        hit_c = hw.sm_hit_cycles
+        miss_c = hw.pnm_random_access_cycles
+        k = int(rows.size)
+        card = int(counted)
+        # Each task's charged items and SMB lookups, and its start in
+        # both sequences.
+        items = 2 + card + scanned + inserts
+        lookups = 3 + card + inserts
+        i_end = np.cumsum(items)
+        i_start = i_end - items
+        l_end = np.cumsum(lookups)
+        l_start = l_end - lookups
+        keys = np.full(int(l_end[-1]), target, dtype=np.int64)
+        keys[l_start] = table.ids[rows]
+        keys[l_start + 1] = x.set_id
+        keys[l_end - 1] = slot
+        frees = np.zeros(keys.size, dtype=bool)
+        frees[l_end - 1] = True
+        # Inserts take every item and lookup the other ops leave.
+        insert_item = np.ones(int(i_end[-1]), dtype=bool)
+        insert_item[i_start] = False
+        insert_item[i_end - 1] = False
+        insert_lookup = ~frees
+        insert_lookup[l_start] = False
+        insert_lookup[l_start + 1] = False
+        if counted:
+            keys[l_start + 2] = slot
+            insert_item[i_start + 1] = False
+            insert_lookup[l_start + 2] = False
+        scan_at = (i_start + 1 + card)[scanned]
+        insert_item[scan_at] = False
+        hits = np.asarray(
+            self.smb.access_freeing(keys.tolist(), frees.tolist()), dtype=bool
+        )
+        base = _counters(self.stats)
+        metas = table.metas
+        shape = np.asarray(
+            self._resolve(
+                table,
+                table.dense_codes(rows, sizes).tolist(),
+                lambda i: (metas[rows[i]], x, int(sizes[i]), False),
+            ),
+            dtype=np.int64,
+        )
+        self._tally_tasks(table, shape, inserts, counted, base)
+        compute, memory, latency = table.columns()
+        comp = np.empty(insert_item.size, dtype=np.float64)
+        mem = np.empty(insert_item.size, dtype=np.float64)
+        lat = np.empty(insert_item.size, dtype=np.float64)
+        # dispatch_binary's metadata phase plus the model cost (adding
+        # an exact 0.0 where a branch there adds nothing).
+        hit_a = hits[l_start]
+        hit_b = hits[l_start + 1]
+        c = np.full(k, disp_c, dtype=np.float64)
+        c += hit_a * hit_c
+        c += hit_b * hit_c
+        c += compute[shape]
+        la = np.zeros(k, dtype=np.float64)
+        la += ~hit_a * miss_c
+        la += ~hit_b * miss_c
+        if host:
+            la += self.cpu.config.set_op_latency_cycles
+        la += latency[shape]
+        comp[i_start] = c
+        mem[i_start] = memory[shape]
+        lat[i_start] = la
+        # One-lookup metadata ops, as _metadata_cost and
+        # dispatch_delete compose them: the cardinality and the delete.
+        metadata = [(i_end - 1, hits[l_end - 1])]
+        if counted:
+            metadata.append((i_start + 1, hits[l_start + 2]))
+        for at, hit in metadata:
+            comp[at] = disp_c + hit * hit_c
+            mem[at] = 0.0
+            lat[at] = ~hit * miss_c
+        scan_sizes, of = np.unique(sizes[scanned], return_inverse=True)
+        scans = [scan(size) for size in scan_sizes.tolist()]
+        comp[scan_at] = np.asarray([cost.compute_cycles for cost in scans])[of]
+        mem[scan_at] = np.asarray([cost.memory_bytes for cost in scans])[of]
+        lat[scan_at] = np.asarray([cost.latency_cycles for cost in scans])[of]
+        # _metadata_cost plus the bit write, as dispatch_element_update.
+        write = self.cpu.bit_write() if host else self.pum.bit_write()
+        hit_t = hits[insert_lookup]
+        comp[insert_item] = (disp_c + hit_t * hit_c) + write.compute_cycles
+        mem[insert_item] = 0.0 + write.memory_bytes
+        lat[insert_item] = ~hit_t * miss_c + write.latency_cycles
+        return BfsDispatch(
+            comp.tolist(),
+            mem.tolist(),
+            lat.tolist(),
+            [0] + i_end.tolist(),
+            shape.tolist(),
+        )
+
+    def _tally_tasks(self, table, shape, inserts, counted: bool, base) -> None:
+        """Record a :meth:`dispatch_bfs_chunk` chunk's instructions in
+        the stats by multiplicity: counters from ``base`` (before
+        :meth:`_resolve`), new ``by_opcode`` keys and dispatch-feed
+        series in order of first occurrence (a DELETE feeds none, as in
+        :meth:`dispatch_delete`)."""
+        k = len(shape)
+        kinds = list(table.kind_of)
+        task_kinds = np.asarray(table.kinds)[shape]
+        used, first = np.unique(task_kinds, return_index=True)
+        mult = np.bincount(task_kinds)[used]
+        # (position, opcode, backend, increments, count); a task's ops
+        # sit at positions 4t (intersect) .. 4t + 3 (delete).
+        ops = [
+            (4 * f, *kinds[kind], n)
+            for kind, f, n in zip(used.tolist(), first.tolist(), mult.tolist())
+        ]
+        if counted:
+            ops.append((1, Opcode.CARDINALITY, "scu", (), k))
+        written = np.flatnonzero(inserts)
+        if written.size:
+            counter = "host_ops" if self.host_fallback else "pum_ops"
+            ops.append(
+                (
+                    4 * int(written[0]) + 2,
+                    Opcode.INSERT_DB,
+                    "host" if self.host_fallback else "pum",
+                    ((_COUNTERS.index(counter), 1),),
+                    int(inserts.sum()),
+                )
+            )
+        ops.append((3, Opcode.DELETE, None, (), k))
+        stats = self.stats
+        by_opcode = stats.by_opcode
+        dispatched: dict[tuple[Opcode, str], int] = {}
+        totals = list(base)
+        for __, opcode, backend, increments, n in sorted(ops, key=itemgetter(0)):
+            by_opcode[opcode] = by_opcode.get(opcode, 0) + n
+            if backend is not None:
+                pair = (opcode, backend)
+                dispatched[pair] = dispatched.get(pair, 0) + n
+            for j, step in increments:
+                totals[j] += n * step
+        for name, total in zip(_COUNTERS, totals):
+            setattr(stats, name, total)
+        stats.instructions += k * (2 + counted) + int(inserts.sum())
+        if self.obs is not None:
+            self.obs.dispatch_counts(dispatched)
 
     def dispatch_binary_fused(
         self,

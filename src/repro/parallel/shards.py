@@ -81,6 +81,11 @@ class SharedArray:
     :meth:`destroy`; workers attach by spec and only ever close their
     local mapping.  A ``weakref.finalize`` guard unlinks host segments
     even when a runtime is dropped without ``close()``.
+
+    The guard watches :attr:`array`, not the wrapper: every numpy view
+    of the array keeps it alive (a view's base is the array, whose own
+    base is the mapping), and the wrapper holds it, so the mapping is
+    closed only once neither the wrapper nor any view is reachable.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, array: np.ndarray, *, owner: bool):
@@ -88,9 +93,9 @@ class SharedArray:
         self.array = array
         self.owner = owner
         if owner:
-            self._finalizer = weakref.finalize(self, _cleanup_segment, shm)
+            self._finalizer = weakref.finalize(array, _cleanup_segment, shm)
         else:
-            self._finalizer = weakref.finalize(self, _close_segment, shm)
+            self._finalizer = weakref.finalize(array, _close_segment, shm)
 
     @classmethod
     def create(cls, array: np.ndarray) -> "SharedArray":

@@ -219,15 +219,110 @@ def difference_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexS
     return results
 
 
-class FanoutRows:
-    """The element rows of a neighbourhood fan-out, as one CSR.
+class SetRows:
+    """The element rows of a list of sets of one universe, as one CSR.
 
     Row ``r`` holds the sorted elements of ``values[r]`` (its
     ``to_array()``, the set iterator's order): ``col[indptr[r]:
-    indptr[r + 1]]``.  ``keys`` holds ``r * universe + w`` for every
-    element ``w`` of row ``r``; rows are sorted and consecutive, so the
-    keys are globally sorted and one binary search answers "is ``w`` in
-    row ``r``" for any number of (row, element) pairs at once.
+    indptr[r + 1]]``, ``cards[r]`` of them.
+    """
+
+    def __init__(self, values: Sequence[VertexSet]):
+        arrays = [
+            None if type(v) is DenseBitvector else v.to_array() for v in values
+        ]
+        dense = [r for r, a in enumerate(arrays) if a is None]
+        if dense:
+            # Every dense row's elements from one bit unpack.
+            bits = np.unpackbits(
+                np.stack([values[r].words for r in dense]).view(np.uint8),
+                axis=1,
+                count=values[dense[0]].universe,
+                bitorder="little",
+            )
+            which, elements = np.nonzero(bits)
+            ends = np.cumsum(np.bincount(which, minlength=len(dense)))
+            for r, row in zip(dense, np.split(elements, ends[:-1])):
+                arrays[r] = row
+        n = len(arrays)
+        self.cards = np.fromiter((a.size for a in arrays), np.int64, n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.cards, out=self.indptr[1:])
+        self.col = (
+            np.concatenate(arrays) if n else np.zeros(0, dtype=np.int64)
+        )
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The elements of ``rows``, concatenated in order, and each
+        row's end in them."""
+        lens = self.cards[rows]
+        ends = np.cumsum(lens)
+        pos = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        pos += np.repeat(self.indptr[rows] - (ends - lens), lens)
+        return self.col[pos], ends
+
+
+def chunk_end(
+    ops: np.ndarray, volume: np.ndarray, t0: int, max_ops: int, max_volume: int
+) -> int:
+    """The end of the chunk of tasks that starts at task ``t0``, given
+    the tasks' cumulative op counts ``ops`` and probe volumes ``volume``
+    (``ops[t]`` before task ``t``): the last task boundary within
+    ``max_ops`` ops and ``max_volume`` volume, or ``t0 + 1`` if task
+    ``t0`` alone exceeds either."""
+    t1 = min(
+        int(np.searchsorted(ops, ops[t0] + max_ops, side="right")),
+        int(np.searchsorted(volume, volume[t0] + max_volume, side="right")),
+    )
+    return max(t1 - 1, t0 + 1)
+
+
+def bfs_tasks(
+    rows: SetRows,
+    tasks: np.ndarray,
+    words: np.ndarray,
+    parent: np.ndarray,
+    *,
+    bottom_up: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run BFS level tasks functionally, in one flat bit probe.
+
+    Task ``v`` (each vertex of ``tasks``, in order) computes ``R_v =
+    row v ∩ X``, ``X`` the dense set of ``words``.  Bottom-up, a
+    non-empty ``R_v`` makes ``min R_v`` the parent of ``v`` and inserts
+    ``v``; top-down, each ``w ∈ R_v`` whose parent is unset and which no
+    earlier task inserted gets parent ``v`` and is inserted.  Updates
+    ``parent`` in place; returns every ``|R_v|``, each task's insert
+    count, and the inserted vertices.
+    """
+    elements, ends = rows.gather(tasks)
+    hit = kernels._probe_bits(words, elements)
+    cum = np.zeros(hit.size + 1, dtype=np.int64)
+    np.cumsum(hit, out=cum[1:])
+    starts = cum[ends - rows.cards[tasks]]
+    sizes = cum[ends] - starts
+    if bottom_up:
+        found = sizes > 0
+        inserted = tasks[found]
+        parent[inserted] = elements[np.flatnonzero(hit)[starts[found]]]
+        return sizes, found.astype(np.int64), inserted
+    reached = elements[hit]
+    owner = np.repeat(np.arange(tasks.size), sizes)
+    keep = np.zeros(reached.size, dtype=bool)
+    keep[np.unique(reached, return_index=True)[1]] = True
+    keep &= parent[reached] == -1
+    inserted = reached[keep]
+    parent[inserted] = tasks[owner[keep]]
+    return sizes, np.bincount(owner[keep], minlength=tasks.size), inserted
+
+
+class FanoutRows(SetRows):
+    """The element rows of a neighbourhood fan-out, as one CSR.
+
+    Rows as :class:`SetRows`; ``keys`` holds ``r * universe + w`` for
+    every element ``w`` of row ``r``; rows are sorted and consecutive,
+    so the keys are globally sorted and one binary search answers "is
+    ``w`` in row ``r``" for any number of (row, element) pairs at once.
 
     The elements are vertices naming rows, so row ``v``'s fan-out pairs
     it with every row ``u ∈ row v``; ``volume[v]`` is the probe volume
@@ -236,16 +331,9 @@ class FanoutRows:
     """
 
     def __init__(self, values: Sequence[VertexSet], universe: int):
-        arrays = [v.to_array() for v in values]
-        n = len(arrays)
-        self.cards = np.fromiter((a.size for a in arrays), np.int64, n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.cards, out=self.indptr[1:])
-        self.col = (
-            np.concatenate(arrays) if n else np.zeros(0, dtype=np.int64)
-        )
+        super().__init__(values)
         self.universe = universe
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.cards)
+        rows = np.repeat(np.arange(self.cards.size, dtype=np.int64), self.cards)
         self.keys = rows * universe + self.col
         probe = np.zeros(self.col.size + 1, dtype=np.int64)
         np.cumsum(
@@ -257,13 +345,7 @@ class FanoutRows:
         """The end of the chunk of fan-out rows that starts at ``v0``:
         the last row boundary within ``ops`` pairs and ``volume`` probe
         volume, or ``v0 + 1`` if row ``v0`` alone exceeds either."""
-        indptr = self.indptr
-        vol = self.volume
-        v1 = min(
-            int(np.searchsorted(indptr, indptr[v0] + ops, side="right")),
-            int(np.searchsorted(vol, vol[v0] + volume, side="right")),
-        )
-        return max(v1 - 1, v0 + 1)
+        return chunk_end(self.indptr, self.volume, v0, ops, volume)
 
     def intersect_counts(
         self, a_rows: np.ndarray, b_rows: np.ndarray

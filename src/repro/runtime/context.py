@@ -37,9 +37,9 @@ from repro.isa.scu import DispatchStats, OperandTable, Scu
 from repro.runtime import batch as batchmod
 from repro.runtime.trace import Trace, TraceEvent
 from repro.sets import kernels
-from repro.sets.base import VertexSet
+from repro.sets.base import Representation, VertexSet
 from repro.sets.dense import DenseBitvector
-from repro.sets.sparse import SparseArray
+from repro.sets.sparse import WORD_BITS, SparseArray
 
 MODES = ("sisa", "cpu-set")
 
@@ -138,6 +138,22 @@ class FanoutProgram:
         rank = {opcode: r for r, opcode in enumerate(by_opcode)}
         for opcode in sorted(new, key=lambda op: (new[op], rank[op])):
             seen[opcode] = None
+
+
+class BfsProgram:
+    """A BFS's level tasks as chunked array programs.
+
+    ``set_ids[v]`` names ``N(v)``; ``parent`` is the traversal's parent
+    array, which every chunk updates.  The operand table (rows are the
+    neighbourhoods; its decision columns fill with the intersect shapes
+    of every level) and the element rows are built once per traversal.
+    Building touches no modeled state.
+    """
+
+    def __init__(self, sm, set_ids, parent: np.ndarray):
+        self.table = OperandTable(SetOp.INTERSECT, sm.metas_of(set_ids))
+        self.rows = batchmod.SetRows(sm.values_of(set_ids))
+        self.parent = parent
 
 
 @dataclass
@@ -838,6 +854,121 @@ class SisaContext:
                     )
             i0 = i1
         return FusedFanout([s for __, __, s in views], cycles, fd.owners)
+
+    def bfs_level(
+        self,
+        program: BfsProgram,
+        tasks: np.ndarray,
+        x: int,
+        target: int,
+        *,
+        bottom_up: bool,
+    ) -> None:
+        """One BFS level's tasks, run as chunked array programs.
+
+        ``x`` is the dense frontier (bottom-up) or unvisited set
+        (top-down) and ``target`` the dense new frontier.  The
+        instruction stream, and with it every modeled cycle, stat, SMB
+        entry, SM record and trace event, is exactly that of the
+        per-vertex loop::
+
+            for v in tasks:
+                begin_task()
+                r = intersect(N(v), x)
+                if bottom_up:
+                    if cardinality(r) > 0:
+                        parent[v] = elements(r)[0]
+                        insert(target, v)
+                else:
+                    for w in elements(r):
+                        if parent[w] == -1:
+                            parent[w] = v
+                            insert(target, w)
+                free(r)
+
+        Each chunk (tasks up to the last task boundary within
+        ``FANOUT_CHUNK_OPS`` instructions, bounding a task's by ``3 +
+        |N(v)|``, and ``FANOUT_CHUNK_PROBE`` probed elements) computes
+        its tasks' results in one flat probe
+        (:func:`~repro.runtime.batch.bfs_tasks`), registers and frees
+        its transients as one recycled SM slot, and dispatches its ops
+        with one :meth:`~repro.isa.scu.Scu.dispatch_bfs_chunk`; the task
+        loop then places each task and charges its ops in program order.
+        """
+        degrees = program.rows.cards[tasks]
+        volume = np.zeros(tasks.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=volume[1:])
+        ops = volume + 3 * np.arange(tasks.size + 1)
+        t0 = 0
+        while t0 < tasks.size:
+            t1 = batchmod.chunk_end(
+                ops, volume, t0, FANOUT_CHUNK_OPS, FANOUT_CHUNK_PROBE
+            )
+            self._bfs_chunk(program, tasks[t0:t1], x, target, bottom_up)
+            t0 = t1
+
+    def _bfs_chunk(
+        self,
+        program: BfsProgram,
+        tasks: np.ndarray,
+        x: int,
+        target: int,
+        bottom_up: bool,
+    ) -> None:
+        """One chunk of :meth:`bfs_level`."""
+        sm = self.sm
+        table = program.table
+        xval = sm.value(x)
+        universe = xval.universe
+        sizes, inserts, inserted = batchmod.bfs_tasks(
+            program.rows, tasks, xval.words, program.parent, bottom_up=bottom_up
+        )
+        # N(v) ∩ x is dense exactly when N(v) is (x is dense).
+        dense = table.dense[tasks]
+        slot = sm.register_transients(
+            np.where(dense, universe, WORD_BITS * sizes),
+            Representation.DENSE if dense[-1] else Representation.SPARSE_SORTED,
+            int(sizes[-1]),
+            universe,
+        )
+        # Bottom-up scans a result only once it counted it non-empty.
+        scanned = sizes > 0 if bottom_up else np.ones(tasks.size, dtype=bool)
+        fd = self.scu.dispatch_bfs_chunk(
+            table,
+            tasks,
+            sizes,
+            sm.meta(x),
+            slot,
+            target,
+            inserts,
+            scanned,
+            self._scan_cost,
+            counted=bottom_up,
+        )
+        if inserted.size:
+            sm.update(target, sm.value(target).with_elements(inserted))
+        engine = self.engine
+        trace = self.trace if self.trace.enabled else None
+        compute, memory, latency = fd.compute, fd.memory, fd.latency
+        bounds = fd.bounds
+        for t, v in enumerate(tasks.tolist()):
+            lane = self._current_lane = engine.begin_task()
+            i0 = bounds[t]
+            i1 = bounds[t + 1]
+            engine.charge_batch(compute[i0:i1], memory[i0:i1], latency[i0:i1])
+            if trace is not None:
+                j = fd.shape[t]
+                trace.record(
+                    TraceEvent(
+                        opcode=table.opcodes[j],
+                        lane=lane,
+                        size_a=int(table.cards[v]),
+                        size_b=xval.cardinality,
+                        output_size=int(sizes[t]),
+                        backend=table.backends[j],
+                        variant=table.variants[j],
+                    )
+                )
 
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one

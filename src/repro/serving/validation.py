@@ -83,8 +83,10 @@ class RequestContext:
 
     @property
     def num_vertices(self) -> int | None:
-        graph = self.graph
-        return None if graph is None else graph.num_vertices
+        """The session's vertex count, or ``None`` sessionless.  A
+        stream never changes it, so it is read off the construction
+        graph, without rebuilding the current CSR."""
+        return None if self.session is None else self.session.graph.num_vertices
 
 
 @dataclass(frozen=True)

@@ -559,10 +559,4 @@ def _approx_degeneracy(session, *, eps=0.5):
     description="Set-centric direction-optimizing BFS (Algorithm 12)",
 )
 def _bfs(session, *, root=0, direction="auto"):
-    return bfs_on(
-        session.current_graph,
-        session.ctx,
-        session.setgraph,
-        root,
-        direction=direction,
-    )
+    return bfs_on(session.ctx, session.setgraph, root, direction=direction)

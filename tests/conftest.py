@@ -72,11 +72,13 @@ def machine_state(ctx):
     """Everything an instruction stream may touch on ``ctx``, in
     comparable form: engine lanes and lane-time cache, current lane,
     SMB order and counters, stats and ``by_opcode`` order, decision-memo
-    keys, trace events and, with observability on, the metrics registry
-    (series in order, wall-clock families left out) and the set-size
-    histograms."""
+    keys, trace events, the set-metadata table (registrations, next
+    address, live ids, and the free list's records in order) and, with
+    observability on, the metrics registry (series in order, wall-clock
+    families left out) and the set-size histograms."""
     engine = ctx.engine
     scu = ctx.scu
+    sm = ctx.sm
     state = {
         "lanes": [
             (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
@@ -90,6 +92,15 @@ def machine_state(ctx):
         "by_opcode_order": list(scu.stats.by_opcode),
         "memo_keys": list(scu._decision_memo),
         "trace": ctx.trace.events,
+        "sm": (
+            sm.registrations,
+            sm._next_address,
+            list(sm._meta),
+            [
+                (m.set_id, m.representation, m.cardinality, m.universe, m.address)
+                for m in sm._free
+            ],
+        ),
     }
     if ctx.obs is not None:
         state["metrics"] = {

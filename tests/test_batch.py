@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bfs import bfs_on
 from repro.algorithms.clustering import jarvis_patrick_on
 from repro.algorithms.common import oriented_setgraph
 from repro.algorithms import kclique as kcliquemod
@@ -33,6 +34,7 @@ from repro.algorithms.similarity import (
 )
 from repro.algorithms.triangles import triangle_count_oriented
 from repro.baselines.nonset import (
+    bfs_nonset,
     four_clique_count_nonset,
     kclique_count_nonset,
     triangle_count_nonset,
@@ -591,3 +593,176 @@ class TestKcliqueFanout:
         cliques = kclique_count_on(ctx, sg, 3, collect=True)
         assert len(cliques) == len(set(cliques))
         assert len(cliques) == kclique_count_nonset(graph, 3).output
+
+
+def _bfs_reference(ctx, sg, root, direction):
+    """BFS as the per-vertex loop ``SisaContext.bfs_level`` replaces
+    runs it: one task per vertex of each level."""
+    n = sg.num_vertices
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[root] = root
+    unvisited = ctx.create_set(
+        [v for v in range(n) if v != root], universe=n, dense=True
+    )
+    frontier = ctx.create_set([root], universe=n, dense=True)
+    while ctx.cardinality(frontier) > 0:
+        frontier_size = ctx.cardinality(frontier)
+        remaining = ctx.cardinality(unvisited)
+        if direction == "top-down":
+            bottom_up = False
+        elif direction == "bottom-up":
+            bottom_up = True
+        else:
+            bottom_up = frontier_size * 8 > max(1, remaining)
+        new_frontier = ctx.create_set([], universe=n, dense=True)
+        if bottom_up:
+            for w in ctx.elements(unvisited):
+                ctx.begin_task()
+                w = int(w)
+                hits = ctx.intersect(sg.neighborhood(w), frontier)
+                if ctx.cardinality(hits) > 0:
+                    parent[w] = int(ctx.elements(hits)[0])
+                    ctx.insert(new_frontier, w)
+                ctx.free(hits)
+        else:
+            for u in ctx.elements(frontier):
+                ctx.begin_task()
+                u = int(u)
+                reached = ctx.intersect(sg.neighborhood(u), unvisited)
+                for w in ctx.elements(reached):
+                    w = int(w)
+                    if parent[w] == -1:
+                        parent[w] = u
+                        ctx.insert(new_frontier, w)
+                ctx.free(reached)
+        ctx.difference_into(unvisited, new_frontier)
+        ctx.free(frontier)
+        frontier = new_frontier
+    ctx.free(frontier)
+    ctx.free(unvisited)
+    return parent
+
+
+def _assert_bfs_tree(graph, root, parent):
+    """``parent`` is a BFS tree of ``graph`` from ``root``: the non-set
+    BFS's reachable set, and every other reached vertex's parent is a
+    neighbour one level closer to the root."""
+    ref = bfs_nonset(graph, root).output
+    assert ((parent >= 0) == (ref >= 0)).all()
+    depth = {root: 0}
+
+    def level(v):
+        chain = []
+        while v not in depth:
+            chain.append(v)
+            v = int(ref[v])
+        for w in reversed(chain):
+            depth[w] = depth[v] + 1
+            v = w
+        return depth[v]
+
+    assert parent[root] == root
+    for v in np.flatnonzero(ref >= 0).tolist():
+        if v != root:
+            p = int(parent[v])
+            assert p in graph.neighbors(v).tolist()
+            assert level(p) == level(v) - 1
+
+
+class TestBfsLevels:
+    """``bfs_on`` runs each level as chunked array programs; the
+    per-vertex loop it replaces, on a fresh context, is the oracle.
+    Each context runs two traversals, so the second starts on a
+    populated set-metadata free list."""
+
+    @given(
+        graph=st.one_of(
+            st.builds(
+                gnp_random_graph,
+                st.integers(min_value=1, max_value=40),
+                st.floats(min_value=0.0, max_value=0.5),
+                seed=st.integers(min_value=0, max_value=2**16),
+            ),
+            st.builds(
+                kronecker_graph,
+                st.integers(min_value=3, max_value=7),
+                st.integers(min_value=1, max_value=8),
+                seed=st.integers(min_value=0, max_value=2**16),
+            ),
+        ),
+        roots=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+        directions=st.tuples(
+            st.sampled_from(["top-down", "bottom-up", "auto"]),
+            st.sampled_from(["top-down", "bottom-up", "auto"]),
+        ),
+        mode=st.sampled_from(MODES),
+        machine=st.sampled_from(sorted(MACHINES)),
+        threads=st.sampled_from([1, 4, 32]),
+        t=st.sampled_from([0.0, 0.4, 1.0]),
+        trace=st.booleans(),
+        observability=st.booleans(),
+        budgets=st.sampled_from(CHUNK_BUDGETS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_vertex_loop(
+        self,
+        graph,
+        roots,
+        directions,
+        mode,
+        machine,
+        threads,
+        t,
+        trace,
+        observability,
+        budgets,
+    ):
+        roots = [r % graph.num_vertices for r in roots]
+
+        def run(chunked):
+            ctx = SisaContext(
+                mode=mode,
+                threads=threads,
+                trace=trace,
+                observability=Observability() if observability else None,
+                **MACHINES[machine],
+            )
+            sg = SetGraph.from_graph(graph, ctx, t=t)
+            runs = []
+            for root, direction in zip(roots, directions):
+                if chunked:
+                    with chunk_budgets(*budgets):
+                        parent = bfs_on(ctx, sg, root, direction=direction)
+                else:
+                    parent = _bfs_reference(ctx, sg, root, direction)
+                runs.append((parent, machine_state(ctx)))
+            return runs
+
+        for (got, state), (expected, ref_state), root in zip(
+            run(True), run(False), roots
+        ):
+            assert got.tolist() == expected.tolist()
+            _assert_bfs_tree(graph, root, got)
+            for field, value in ref_state.items():
+                assert state[field] == value, field
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("direction", ["top-down", "bottom-up", "auto"])
+    def test_crosses_chunk_boundaries(self, mode, direction):
+        graph = kronecker_graph(9, 8, seed=0)
+        root = int(np.argmax(graph.degrees))
+
+        def run(chunked):
+            ctx = SisaContext(mode=mode, threads=32, trace=True)
+            sg = SetGraph.from_graph(graph, ctx)
+            if chunked:
+                parent = bfs_on(ctx, sg, root, direction=direction)
+            else:
+                parent = _bfs_reference(ctx, sg, root, direction)
+            return parent, machine_state(ctx)
+
+        (got, state), (expected, ref_state) = run(True), run(False)
+        assert got.tolist() == expected.tolist()
+        for field, value in ref_state.items():
+            assert state[field] == value, field
+        assert state["stats"].instructions > FANOUT_CHUNK_OPS

@@ -9,6 +9,9 @@ structured ``FailedResult``\\ s rather than hangs."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -138,6 +141,34 @@ class TestPairKernel:
             store.close()
         host = FanoutRows([SparseArray.from_sorted(r, n) for r in rows], n)
         assert got.tolist() == host.intersect_counts(v_rows, u_rows).tolist()
+
+
+class TestSharedArray:
+    def test_array_outlives_its_wrapper(self):
+        """An attached array whose wrapper is gone still reads its
+        segment: the mapping closes only once neither is reachable (a
+        closed mapping under a live array segfaults)."""
+        snippet = (
+            "import gc\n"
+            "import numpy as np\n"
+            "from repro.parallel.shards import SharedArray\n"
+            "host = SharedArray.create(np.arange(1000))\n"
+            "values = SharedArray.attach(host.spec()).array\n"
+            "gc.collect()\n"
+            "print(values.sum())\n"
+            "host.destroy()\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(sum(range(1000)))]
 
 
 class TestWorkerProtocol:

@@ -15,7 +15,9 @@ from repro.errors import (
     SisaError,
     ValidationError,
 )
+from repro.baselines.nonset import bfs_nonset
 from repro.graphs.generators import gnp_random_graph
+from repro.graphs.streams import churn_stream
 from repro.serving import (
     AdmissionController,
     FaultInjector,
@@ -128,6 +130,36 @@ class TestValidationEngine:
             session.compile(
                 "similarity_pairs", pairs=np.array([[0, 99]], dtype=np.int64)
             )
+
+    def test_vertex_range_rule_builds_no_csr_after_churn(self):
+        """The vertex count every submit checks against needs no CSR of
+        the churned graph, and ``bfs`` runs on the live sets; an
+        out-of-range root still fails with the same details."""
+        graph = _graph(n=30)
+        pool = SessionPool(threads=2)
+        session = pool.session("g", graph)
+        session.attach_stream().apply_batch(
+            churn_stream(graph, churn=0.2, num_batches=1, seed=3).batches[0]
+        )
+        pool.submit("g", "triangles", tenant="t0")
+        pool.submit("g", "bfs", root=4, tenant="t0")
+        assert session._csr_version is None
+        with pytest.raises(ValidationError) as exc:
+            pool.submit("g", "bfs", root=30, tenant="t0")
+        assert exc.value.details["violations"] == [
+            {
+                "rule": "vertices-in-range",
+                "message": "parameter 'root' = 30 is outside the graph's "
+                "vertex range [0, 30)",
+                "param": "root",
+                "value": 30,
+                "num_vertices": 30,
+            }
+        ]
+        parent = session.run("bfs", root=4).output
+        assert session._csr_version is None
+        reference = bfs_nonset(session.current_graph, 4).output
+        assert ((parent >= 0) == (reference >= 0)).all()
 
     def test_pairs_shape_rule(self):
         session = SisaSession(_graph(), threads=2)

@@ -232,7 +232,7 @@ def _legacy_runs():
 
     def legacy_bfs(graph):
         ctx, sg = _legacy_undirected(graph)
-        return bfs_on(graph, ctx, sg, 0, direction="auto"), ctx
+        return bfs_on(ctx, sg, 0, direction="auto"), ctx
 
     def legacy_similarity(graph):
         ctx, sg = _legacy_undirected(graph)

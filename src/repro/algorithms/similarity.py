@@ -119,24 +119,35 @@ def similarity_batch_on(
         return _shared_neighbor_batch_on(ctx, sg, u, vs, measure=measure)
     nu = sg.neighborhood(u)
     nvs = [sg.neighborhood(v) for v in vs]
-    if measure == "total_neighbors":
-        return ctx.union_count_batch(nu, nvs).astype(np.float64)
-    if measure == "common_neighbors":
-        return ctx.intersect_count_batch(nu, nvs).astype(np.float64)
     if measure == "preferential_attachment":
         du = ctx.cardinality(nu)
         dvs = np.asarray([ctx.cardinality(nv) for nv in nvs], dtype=np.float64)
         return du * dvs
-    inter = ctx.intersect_count_batch(nu, nvs).astype(np.float64)
+    if measure == "total_neighbors":
+        counts = ctx.union_count_batch(nu, nvs)
+    else:
+        counts = ctx.intersect_count_batch(nu, nvs)
+    return score_counts(ctx, nu, nvs, counts, measure)
+
+
+def score_counts(
+    ctx: SisaContext, nu: int, nvs: list[int], counts: np.ndarray, measure: str
+) -> np.ndarray:
+    """Score a shared-``u`` frontier from its count burst: ``counts``
+    holds ``|N(u) ∪ N(v)|`` for ``total_neighbors`` and ``|N(u) ∩
+    N(v)|`` for the other count measures (not preferential
+    attachment, which needs no burst).  Jaccard and overlap fetch
+    ``|N(u)|`` once, then one cardinality per frontier operand."""
+    scores = counts.astype(np.float64)
+    if measure in ("total_neighbors", "common_neighbors"):
+        return scores
     du = ctx.cardinality(nu)
     dvs = np.asarray([ctx.cardinality(nv) for nv in nvs], dtype=np.float64)
     if measure == "jaccard":
-        denom = du + dvs - inter
+        denom = du + dvs - scores
     else:  # overlap
         denom = np.minimum(float(du), dvs)
-    return np.divide(
-        inter, denom, out=np.zeros_like(inter), where=denom > 0
-    )
+    return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0)
 
 
 def _shared_neighbor_batch_on(

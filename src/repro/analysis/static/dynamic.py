@@ -171,10 +171,7 @@ def check_plan_dynamic(
         before = dict.copy(state)
         for unit in produced:
             with ctx.on_lane(unit.lane):
-                counts = getattr(ctx, f"{unit.kind}_count_batch")(
-                    unit.a, unit.bs
-                )
-                unit.sink(counts)
+                unit.sink(ctx.count_burst(unit.a, unit.bs, kind=unit.kind))
         for key in dict.keys(state):
             if key not in before or before[key] is not dict.__getitem__(
                 state, key

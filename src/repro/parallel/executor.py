@@ -135,10 +135,9 @@ class ParallelExecutor(PlanExecutor):
         inter = self.runtime.partial_counts(
             self.session, unit.a, unit.bs
         )
-        method = getattr(self.session.ctx, f"{unit.kind}_count_batch")
-        if inter is None:
-            return method(unit.a, unit.bs)
-        return method(unit.a, unit.bs, inter=inter)
+        return self.session.ctx.count_burst(
+            unit.a, unit.bs, kind=unit.kind, inter=inter
+        )
 
     # -- entry point ---------------------------------------------------
 

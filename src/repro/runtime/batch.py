@@ -7,8 +7,8 @@ cardinality-of-result instruction variants (``|A ∩ B|``, ``|A ∪ B|``,
 intermediate sets.  Graph algorithms issue these instructions in dense
 bursts — one probe set ``A`` (a neighborhood or a running candidate
 set) against a whole frontier ``B_1 .. B_k`` — so the runtime exposes a
-batched form (:meth:`repro.runtime.context.SisaContext.intersect_count_batch`
-and friends) that:
+batched form (:meth:`repro.runtime.context.SisaContext.count_burst`,
+behind ``intersect_count_batch`` and ``union_count_batch``) that:
 
 * fetches operand values/metadata once per frontier,
 * runs ONE vectorized kernel over the concatenated (CSR-style) element
@@ -22,10 +22,11 @@ and friends) that:
 Only interpreter overhead is amortized; the modeled hardware cost of a
 batch equals that of the equivalent sequential instruction stream.
 
-Union and difference counts are derived from the intersection counts
-by the identities ``|A ∪ B| = |A| + |B| - |A ∩ B|`` and
-``|A \\ B| = |A| - |A ∩ B|`` — the same identities the scalar
-cardinality kernels use, so results match exactly.
+Union counts are derived from the intersection counts by the identity
+``|A ∪ B| = |A| + |B| - |A ∩ B|`` — the one the scalar cardinality
+kernel uses, so results match exactly.  Difference counts have no
+batched form; they are issued one op at a time
+(:meth:`repro.runtime.context.SisaContext.difference_count`).
 """
 
 from __future__ import annotations
@@ -156,67 +157,6 @@ def intersect_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexSe
                 hits[starts[j]:ends[j]], universe
             )
     return results  # type: ignore[return-value]
-
-
-def union_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexSet]:
-    """Materializing batched union ``A ∪ B_i`` for every ``B_i``.
-
-    All-sparse frontiers run as one flat probe pass (which elements of
-    each ``B_i`` are new w.r.t. ``A``) followed by a per-segment
-    disjoint merge with ``A``'s sorted array — representation for
-    representation the same results as :func:`repro.sets.kernels.union`
-    per pair; dense operands fall back to the pairwise kernels (their
-    results stay dense).
-    """
-    n = len(values)
-    if n == 0:
-        return []
-    universe = a.universe
-    results: list[VertexSet | None] = [None] * n
-    sa_idx: list[int] = []
-    sa_arrays: list[np.ndarray] = []
-    boundaries = [0]
-    total = 0
-    for i, v in enumerate(values):
-        if v.universe != universe:
-            raise SetError(f"universe mismatch: {universe} vs {v.universe}")
-        if type(v) is SparseArray and type(a) is SparseArray:
-            arr = v.elements if v.is_sorted else v.to_array()
-            total += arr.size
-            boundaries.append(total)
-            sa_idx.append(i)
-            sa_arrays.append(arr)
-        else:
-            results[i] = kernels.union(a, v)
-    if sa_idx:
-        arr_a = a.to_array()
-        flat = np.concatenate(sa_arrays)
-        offsets = np.asarray(boundaries)
-        mask = kernels._probe_sorted(arr_a, flat)
-        for j, i in enumerate(sa_idx):
-            seg = flat[offsets[j]:offsets[j + 1]]
-            new = seg[~mask[offsets[j]:offsets[j + 1]]]
-            results[i] = SparseArray.from_sorted(
-                kernels._merge_sorted_disjoint(arr_a, new), universe
-            )
-    return results  # type: ignore[return-value]
-
-
-def difference_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexSet]:
-    """Materializing batched difference ``A \\ B_i`` for every ``B_i``.
-
-    The probe direction is per-operand (``A``'s elements against each
-    ``B_i``), so there is no shared flat pass; the batch amortizes the
-    dispatch/metadata phase while each result comes from the same
-    pairwise kernel the scalar stream runs.
-    """
-    results: list[VertexSet] = []
-    universe = a.universe
-    for v in values:
-        if v.universe != universe:
-            raise SetError(f"universe mismatch: {universe} vs {v.universe}")
-        results.append(kernels.difference(a, v))
-    return results
 
 
 class SetRows:
@@ -375,6 +315,4 @@ def derive_counts(
         return inter
     if op_kind == "union":
         return a_cardinality + b_cardinalities - inter
-    if op_kind == "difference":
-        return a_cardinality - inter
     raise SetError(f"unknown count form {op_kind!r}")

@@ -70,7 +70,7 @@ class FanoutProgram:
     chunk's per-op ``|N(v) ∩ N(u)|`` array, or ``None`` to count with
     the host's flat probe (:meth:`~repro.runtime.batch.FanoutRows.
     intersect_counts`) — the fan-out analogue of
-    :meth:`SisaContext._count_batch`'s ``inter``, through which the
+    :meth:`SisaContext.count_burst`'s ``inter``, through which the
     shard-parallel workers of :mod:`repro.parallel` feed their counts.
 
     ``opcodes``, when given, is a dict to which every dispatched chunk
@@ -418,21 +418,37 @@ class SisaContext:
     # Batched count operations (amortized dispatch over a frontier)
     # ------------------------------------------------------------------
 
-    def _count_batch(
-        self, op: SetOp, kind: str, a: int, bs, *, inter=None
+    def count_burst(
+        self,
+        a: int,
+        bs,
+        *,
+        kind: str = "intersect",
+        inter=None,
+        include_decode: bool | None = None,
     ) -> np.ndarray:
-        """Count-form ``a op b_i`` for a whole frontier ``bs``.
+        """Count-form ``|A ∩ B_i|`` (``kind="intersect"``) or ``|A ∪
+        B_i|`` (``kind="union"``) for a whole frontier ``bs``.
 
         Functionally one vectorized kernel over the concatenated
-        operand arrays (see :mod:`repro.runtime.batch`); timing-wise an
-        amortized SCU dispatch whose per-op costs, stats and SMB
-        behaviour — and therefore simulated cycles — are identical to
-        issuing the ops sequentially on the current task's lane.
+        operand arrays (see :mod:`repro.runtime.batch`).  Timing-wise,
+        with ``include_decode=None``, an amortized SCU dispatch
+        (:meth:`~repro.isa.scu.Scu.dispatch_binary_batch`) whose per-op
+        costs, stats and SMB behaviour — and therefore simulated cycles —
+        are identical to issuing the ops sequentially on the current
+        task's lane.  With ``include_decode`` a bool, the burst is one
+        constituent of a fused cross-task macro, charged to the current
+        lane under :meth:`~repro.isa.scu.Scu.dispatch_binary_fused`'s
+        rule (one macro decode per fused group, charged when
+        ``include_decode``; one probe-metadata lookup per constituent).
+        Plan executors wrap each constituent in :meth:`on_lane` so the
+        charges land on the lane the unit's task was placed on.
 
         ``inter`` supplies the per-operand intersection cardinalities
-        precomputed elsewhere (the shard-parallel workers of
-        :mod:`repro.parallel` merge per-shard partials into exactly the
-        array :func:`repro.runtime.batch.intersect_counts` would have
+        precomputed elsewhere (a fan-out program's chunk probe, or the
+        shard-parallel workers of :mod:`repro.parallel`, which merge
+        per-shard partials into exactly the array
+        :func:`repro.runtime.batch.intersect_counts` would have
         produced); the functional kernel is then skipped while the SCU
         dispatch, engine charge, SMB trajectory and trace are issued
         unchanged — the simulated machine cannot tell who computed the
@@ -443,44 +459,41 @@ class SisaContext:
         if n == 0:
             return np.zeros(0, dtype=np.int64)
         obs = self.obs
-        span = obs.kernel_start(f"{kind}_count", n) if obs is not None else None
+        fused = include_decode is not None
+        span = (
+            obs.kernel_start(f"fused_{kind}" if fused else f"{kind}_count", n)
+            if obs is not None
+            else None
+        )
         va = sm.value(a)
         metas = sm.metas_of(bs)
         if inter is None:
-            values = sm.values_of(bs)
-            inter = batchmod.intersect_counts(va, values)
+            inter = batchmod.intersect_counts(va, sm.values_of(bs))
         if kind == "intersect":
-            counts = inter
+            op, counts = SetOp.INTERSECT_COUNT, inter
         else:
             cards = np.fromiter((m.cardinality for m in metas), np.int64, n)
+            op = SetOp.UNION_COUNT
             counts = batchmod.derive_counts(kind, va.cardinality, cards, inter)
-        bd = self.scu.dispatch_binary_batch(op, sm.meta(a), metas, count_only=True)
-        self.engine.charge_batch(bd.compute, bd.memory, bd.latency)
-        if obs is not None:
-            obs.kernel_end(
-                span,
-                sum(bd.compute)
-                + sum(bd.latency)
-                + sum(bd.memory) / self.engine.bytes_per_cycle,
-                va.cardinality,
-                (m.cardinality for m in metas),
+        if fused:
+            bd = self.scu.dispatch_binary_fused(
+                op, sm.meta(a), metas, count_only=True, include_decode=include_decode
             )
-        if self.trace.enabled:
-            size_a = va.cardinality
-            lane = self._current_lane
-            for i, meta in enumerate(metas):
-                self.trace.record(
-                    TraceEvent(
-                        opcode=bd.opcodes[i],
-                        lane=lane,
-                        size_a=size_a,
-                        size_b=meta.cardinality,
-                        output_size=int(counts[i]),
-                        backend=bd.backends[i],
-                        variant=bd.variants[i],
-                    )
-                )
+        else:
+            bd = self.scu.dispatch_binary_batch(
+                op, sm.meta(a), metas, count_only=True
+            )
+        self._charge_burst(bd, span, va.cardinality, metas, counts)
         return counts
+
+    def intersect_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
+        """``|A ∩ B_i|`` for every set id in ``bs`` (one batched
+        instruction burst; no result sets are materialized)."""
+        return self.count_burst(a, bs, inter=inter)
+
+    def union_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
+        """``|A ∪ B_i|`` for every set id in ``bs``."""
+        return self.count_burst(a, bs, kind="union", inter=inter)
 
     def intersect_batch(self, a: int, bs) -> list[int]:
         """Materializing batched intersection ``A ∩ B_i`` over a
@@ -491,145 +504,45 @@ class SisaContext:
         SMB behaviour are identical to issuing the ``intersect`` ops
         sequentially (results are registered after the dispatch phase,
         which charges nothing and touches no modeled state)."""
-        return self._materialize_batch(
-            SetOp.INTERSECT, a, batchmod.intersect_values, bs
-        )
-
-    def _materialize_batch(self, op: SetOp, a: int, values_fn, bs) -> list[int]:
-        """Shared implementation of the materializing batched fan-outs:
-        results from one functional batch kernel, one amortized dispatch
-        whose per-op costs/stats/SMB trajectory — and thus simulated
-        cycles — are identical to the sequential per-op stream."""
         if not len(bs):
             return []
         sm = self.sm
         obs = self.obs
         span = (
-            obs.kernel_start(f"{op.name.lower()}_batch", len(bs))
-            if obs is not None
-            else None
+            obs.kernel_start("intersect_batch", len(bs)) if obs is not None else None
         )
         va = sm.value(a)
-        values = sm.values_of(bs)
         metas = sm.metas_of(bs)
-        results = values_fn(va, values)
+        results = batchmod.intersect_values(va, sm.values_of(bs))
         output_sizes = [r.cardinality for r in results]
         bd = self.scu.dispatch_binary_batch(
-            op,
+            SetOp.INTERSECT,
             sm.meta(a),
             metas,
             output_sizes=output_sizes,
             count_only=False,
         )
-        self.engine.charge_batch(bd.compute, bd.memory, bd.latency)
-        if obs is not None:
-            obs.kernel_end(
-                span,
-                sum(bd.compute)
-                + sum(bd.latency)
-                + sum(bd.memory) / self.engine.bytes_per_cycle,
-                va.cardinality,
-                (m.cardinality for m in metas),
-            )
-        if self.trace.enabled:
-            size_a = va.cardinality
-            lane = self._current_lane
-            for i, meta in enumerate(metas):
-                self.trace.record(
-                    TraceEvent(
-                        opcode=bd.opcodes[i],
-                        lane=lane,
-                        size_a=size_a,
-                        size_b=meta.cardinality,
-                        output_size=output_sizes[i],
-                        backend=bd.backends[i],
-                        variant=bd.variants[i],
-                    )
-                )
+        self._charge_burst(bd, span, va.cardinality, metas, output_sizes)
         register = sm.register
         return [register(r) for r in results]
 
-    def union_batch(self, a: int, bs) -> list[int]:
-        """Materializing batched union ``A ∪ B_i`` over a frontier:
-        one new set id per operand, cycle-identical to the sequential
-        ``union`` stream (same dispatch path as :meth:`intersect_batch`)."""
-        return self._materialize_batch(SetOp.UNION, a, batchmod.union_values, bs)
-
-    def difference_batch(self, a: int, bs) -> list[int]:
-        """Materializing batched difference ``A \\ B_i`` over a
-        frontier, cycle-identical to the sequential ``difference``
-        stream."""
-        return self._materialize_batch(
-            SetOp.DIFFERENCE, a, batchmod.difference_values, bs
-        )
-
-    def intersect_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
-        """``|A ∩ B_i|`` for every set id in ``bs`` (one batched
-        instruction burst; no result sets are materialized)."""
-        return self._count_batch(
-            SetOp.INTERSECT_COUNT, "intersect", a, bs, inter=inter
-        )
-
-    def union_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
-        """``|A ∪ B_i|`` for every set id in ``bs``."""
-        return self._count_batch(SetOp.UNION_COUNT, "union", a, bs, inter=inter)
-
-    def difference_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
-        """``|A \\ B_i|`` for every set id in ``bs``."""
-        return self._count_batch(
-            SetOp.DIFFERENCE_COUNT, "difference", a, bs, inter=inter
-        )
-
-    _FUSED_OPS = {
-        "intersect": SetOp.INTERSECT_COUNT,
-        "union": SetOp.UNION_COUNT,
-        "difference": SetOp.DIFFERENCE_COUNT,
-    }
-
-    def fused_count_burst(
-        self, a: int, bs, *, kind: str = "intersect", include_decode: bool = False
-    ) -> np.ndarray:
-        """One constituent burst of a fused cross-task count macro.
-
-        Functionally identical to the ``*_count_batch`` fan-outs;
-        charged to the *current* lane under the fused-dispatch rule of
-        :meth:`repro.isa.scu.Scu.dispatch_binary_fused` (one macro
-        decode per fused group, one probe-metadata lookup per
-        constituent).  Plan executors wrap each constituent in
-        :meth:`on_lane` so the charges land on the lane the unit's task
-        was placed on.
-        """
-        op = self._FUSED_OPS[kind]
-        sm = self.sm
-        n = len(bs)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        obs = self.obs
-        span = obs.kernel_start(f"fused_{kind}", n) if obs is not None else None
-        va = sm.value(a)
-        values = sm.values_of(bs)
-        metas = sm.metas_of(bs)
-        inter = batchmod.intersect_counts(va, values)
-        if kind == "intersect":
-            counts = inter
-        else:
-            cards = np.fromiter((m.cardinality for m in metas), np.int64, n)
-            counts = batchmod.derive_counts(kind, va.cardinality, cards, inter)
-        bd = self.scu.dispatch_binary_fused(
-            op, sm.meta(a), metas, count_only=True, include_decode=include_decode
-        )
+    def _charge_burst(self, bd, span, size_a: int, metas, outputs) -> None:
+        """The shared tail of a frontier burst: charge the batched
+        dispatch ``bd`` to the current lane, close the burst's kernel
+        ``span`` and record one trace event per operand (``outputs[i]``
+        is operand ``i``'s result size)."""
         self.engine.charge_batch(bd.compute, bd.memory, bd.latency)
+        obs = self.obs
         if obs is not None:
             obs.kernel_end(
                 span,
                 sum(bd.compute)
                 + sum(bd.latency)
                 + sum(bd.memory) / self.engine.bytes_per_cycle,
-                va.cardinality,
+                size_a,
                 (m.cardinality for m in metas),
             )
         if self.trace.enabled:
-            size_a = va.cardinality
             lane = self._current_lane
             for i, meta in enumerate(metas):
                 self.trace.record(
@@ -638,12 +551,11 @@ class SisaContext:
                         lane=lane,
                         size_a=size_a,
                         size_b=meta.cardinality,
-                        output_size=int(counts[i]),
+                        output_size=int(outputs[i]),
                         backend=bd.backends[i],
                         variant=bd.variants[i],
                     )
                 )
-        return counts
 
     def fanout_counts(
         self, set_ids, *, provider=None, opcodes=None
@@ -764,7 +676,7 @@ class SisaContext:
         t = v - program.v0
         i0 = program.bounds[t]
         i1 = program.bounds[t + 1]
-        self.intersect_count_batch(
+        self.count_burst(
             program.set_ids[v], program.ids[i0:i1], inter=program.counts[i0:i1]
         )
         return program.sums[t]
@@ -781,7 +693,7 @@ class SisaContext:
         before anything of constituent ``c`` is charged or observed (the
         macro's dispatch counts as constituent 0's).
 
-        Modeled state ends exactly as after one :meth:`fused_count_burst`
+        Modeled state ends exactly as after one fused :meth:`count_burst`
         per constituent, in order, each on its lane, with
         ``include_decode`` on the first.  The counts come from the
         programs' chunk probes, the SCU work is one

@@ -163,19 +163,6 @@ class SetGraph:
     def degree(self, v: int) -> int:
         return self.ctx.sm.meta(self._set_ids[v]).cardinality
 
-    def neighborhood_counts(self, u: int, vs) -> np.ndarray:
-        """Batched fan-out ``|N(u) ∩ N(v)|`` for every vertex in ``vs``.
-
-        One batched count instruction burst (see
-        :meth:`repro.runtime.context.SisaContext.intersect_count_batch`):
-        N(u)'s metadata is fetched once and the whole frontier is
-        counted by one vectorized kernel, at the exact modeled cost of
-        the equivalent sequential ``intersect_count`` stream."""
-        ids = self._set_ids
-        if isinstance(vs, np.ndarray):
-            vs = vs.tolist()
-        return self.ctx.intersect_count_batch(ids[u], [ids[v] for v in vs])
-
     @property
     def dense_mask(self) -> np.ndarray:
         return self._dense_mask

@@ -48,7 +48,7 @@ run of consecutive neighbourhood fan-out tasks
 :meth:`~repro.runtime.context.SisaContext.fused_fanout` call over the
 stages' chunked :class:`~repro.runtime.context.FanoutProgram` objects, every
 other burst (:class:`BurstUnit`) through
-:meth:`~repro.runtime.context.SisaContext.fused_count_burst`.  Burst
+:meth:`~repro.runtime.context.SisaContext.count_burst`.  Burst
 fusion is an SCU capability: on the ``cpu-set`` host baseline the
 executor falls back to the unfused batched stream (prep sharing and
 dedup still apply), issuing each fan-out task's burst in place as soon
@@ -83,8 +83,6 @@ from repro.session.cache import canonical_param, isolate_output
 from repro.session.registry import WorkloadSpec
 from repro.session.result import FailedResult, RunResult
 
-BURST_KINDS = ("intersect", "union", "difference")
-
 #: The most bursts one fused macro carries (the fusion buffer bound).
 FUSE_WIDTH = 8
 
@@ -95,12 +93,12 @@ class BurstUnit:
 
     Produced lazily by a burst stage's generator, which has already
     opened the unit's task (``lane``) and paid any charged pre-work
-    (e.g. the neighborhood iterator).  The executor runs the burst —
-    unfused via ``*_count_batch`` or as a fused-macro constituent
-    (:meth:`~repro.runtime.context.SisaContext.fused_count_burst`) — and
-    hands the counts to ``sink``, which performs the remaining charged
-    work of the task (e.g. cardinality fetches) and folds the counts
-    into the stage state.  Burst stages without a :class:`Fanout`
+    (e.g. the neighborhood iterator).  The executor runs the burst
+    through :meth:`~repro.runtime.context.SisaContext.count_burst`,
+    unfused or as a fused-macro constituent, and hands the counts to
+    ``sink``, which performs the remaining charged work of the task
+    (e.g. cardinality fetches) and folds the counts into the stage
+    state.  Burst stages without a :class:`Fanout`
     (``similarity_pairs``) run as units on every path; a fan-out
     stage's units (:meth:`Fanout.units`) are its per-burst reference,
     which the dynamic effect checker walks and the tests compare every
@@ -109,7 +107,7 @@ class BurstUnit:
 
     a: int
     bs: list
-    kind: str  # one of BURST_KINDS
+    kind: str  # "intersect" or "union"
     lane: int
     sink: Callable[[np.ndarray], None]
     # Effect tokens the sink writes (``state:<slot>`` namespace; see
@@ -918,12 +916,10 @@ class PlanExecutor:
         (:class:`repro.parallel.executor.ParallelExecutor`) overrides
         beside :meth:`_fanout`: it computes the intersection
         cardinalities on worker processes and feeds them back through
-        the same ``*_count_batch`` dispatch, so modeled cycles and
-        outputs stay bit-identical to this reference implementation.
+        the same dispatch, so modeled cycles and outputs stay
+        bit-identical to this reference implementation.
         """
-        return getattr(self.session.ctx, f"{unit.kind}_count_batch")(
-            unit.a, unit.bs
-        )
+        return self.session.ctx.count_burst(unit.a, unit.bs, kind=unit.kind)
 
     def _before_node(self, node_id: int) -> None:
         """Hook before one schedule node executes (no-op here; the
@@ -1060,6 +1056,7 @@ class PlanExecutor:
                     run.value = stage.result(run.state)
                     run.stage_idx += 1
                     if obs is not None:
+                        obs.set_context(run.plan.tenant or "default", run.plan.name)
                         obs.dedup(run.plan.name)
                     return True
                 owner = self._owners.get(key)
@@ -1151,7 +1148,7 @@ class PlanExecutor:
                     j = k
                 else:
                     with self._slice(run), ctx.on_lane(unit.lane):
-                        counts = ctx.fused_count_burst(
+                        counts = ctx.count_burst(
                             unit.a, unit.bs, kind=kind, include_decode=first
                         )
                         unit.sink(counts)

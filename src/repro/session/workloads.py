@@ -30,6 +30,7 @@ from repro.algorithms.link_prediction import (
 from repro.algorithms.similarity import (
     all_pairs_similarity_on,
     iter_shared_first_runs,
+    score_counts,
     similarity_on,
 )
 from repro.algorithms.subgraph_iso import subgraph_isomorphism_on
@@ -55,11 +56,16 @@ from repro.streaming.incremental import degrees_of, local_triangle_counts
 # WorkloadPlan executes: prep (which cached structure to touch), the
 # count-form frontier bursts as schedulable units, and host-side
 # finalization.  Executed in order, the stages reproduce the eager
-# kernel's instruction stream op for op — asserted bit-identical in
-# tests — while exposing the bursts for cross-plan fusion and the
-# shared sub-requests (e.g. the triangle count inside
-# clustering_coefficient) for dedup.  A builder returns None when the
-# requested parameters are not decomposable (e.g. a shared-neighbor
+# kernel's instruction stream op for op (asserted bit-identical in
+# tests/test_session.py and, machine state included, for the watchlist
+# stage by tests/test_plans.py's
+# test_similarity_pairs_stage_matches_the_eager_kernel) while exposing
+# the bursts for cross-plan fusion and the shared sub-requests (e.g. the
+# triangle count inside clustering_coefficient) for dedup.  Finalizers
+# read a churned graph's degrees from set metadata, never from a rebuilt
+# CSR (test_clustering_coefficient_builds_no_csr_after_churn in
+# tests/test_orientation_maintenance.py).  A builder returns None when
+# the requested parameters are not decomposable (e.g. a shared-neighbor
 # similarity measure); the plan then falls back to one opaque call
 # stage.
 # ---------------------------------------------------------------------------
@@ -108,12 +114,21 @@ def _triangles_stages(session, params):
     return [_prep_stage("oriented"), _triangle_burst_stage()]
 
 
+def _global_clustering(session, triangles: int) -> float:
+    """The global clustering coefficient ``3T / Σ_v d(v)(d(v) - 1) / 2``
+    from the triangle count ``T``.  Degrees are the construction
+    graph's, or with a stream attached its set metadata (uncharged),
+    never a CSR rebuilt for them."""
+    stream = session._stream
+    degrees = session.graph.degrees if stream is None else degrees_of(stream)
+    d = degrees.astype(float)
+    wedges = float((d * (d - 1) / 2).sum())
+    return 3.0 * triangles / wedges if wedges > 0 else 0.0
+
+
 def _clustering_coefficient_stages(session, params):
     def finalize(session, state):
-        count = state["triangles"]
-        degrees = session.current_graph.degrees.astype(float)
-        wedges = float((degrees * (degrees - 1) / 2).sum())
-        return 3.0 * count / wedges if wedges > 0 else 0.0
+        return _global_clustering(session, state["triangles"])
 
     return [
         _prep_stage("oriented"),
@@ -191,24 +206,7 @@ def _similarity_pairs_stages(session, params):
             nvs = [sg.neighborhood(v) for v in vs]
 
             def sink(counts, *, _i=i, _j=j, _nu=nu, _nvs=nvs):
-                # Replicates similarity_batch_on's post-burst stream:
-                # the |N(u)| fetch hoisted once per frontier, then one
-                # cardinality per frontier operand.
-                if measure in ("total_neighbors", "common_neighbors"):
-                    scores[_i:_j] = counts.astype(np.float64)
-                    return
-                inter = counts.astype(np.float64)
-                du = ctx.cardinality(_nu)
-                dvs = np.asarray(
-                    [ctx.cardinality(nv) for nv in _nvs], dtype=np.float64
-                )
-                if measure == "jaccard":
-                    denom = du + dvs - inter
-                else:  # overlap
-                    denom = np.minimum(float(du), dvs)
-                scores[_i:_j] = np.divide(
-                    inter, denom, out=np.zeros_like(inter), where=denom > 0
-                )
+                scores[_i:_j] = score_counts(ctx, _nu, _nvs, counts, measure)
 
             yield BurstUnit(
                 a=nu,
@@ -267,10 +265,9 @@ def _triangles(session, *, view=None):
     subrequests=("triangles",),
 )
 def _clustering_coefficient(session):
-    count = triangle_count_oriented(session.oriented_setgraph, session.ctx)
-    degrees = session.current_graph.degrees.astype(float)
-    wedges = float((degrees * (degrees - 1) / 2).sum())
-    return 3.0 * count / wedges if wedges > 0 else 0.0
+    return _global_clustering(
+        session, triangle_count_oriented(session.oriented_setgraph, session.ctx)
+    )
 
 
 @workload(

@@ -72,7 +72,9 @@ class _SetView:
         return self.ctx.sm.meta(self._set_ids[v]).cardinality
 
     def neighborhood_counts(self, u: int, vs) -> np.ndarray:
-        """Batched ``|N(u) ∩ N(v)|`` fan-out, as on ``SetGraph``."""
+        """Batched ``|N(u) ∩ N(v)|`` for every vertex in ``vs``: one
+        count burst (:meth:`~repro.runtime.context.SisaContext.
+        intersect_count_batch`)."""
         ids = self._set_ids
         if isinstance(vs, np.ndarray):
             vs = vs.tolist()

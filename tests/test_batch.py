@@ -136,7 +136,6 @@ class TestCountKernels:
         assert ctx.difference_count(ids[1], ids[0]) == 1
         assert list(ctx.intersect_count_batch(ids[0], ids[1:])) == [2, 1]
         assert list(ctx.union_count_batch(ids[0], ids[1:])) == [4, 5]
-        assert list(ctx.difference_count_batch(ids[0], ids[1:])) == [1, 2]
 
     def test_popcount_fallback_matches_numpy(self):
         rng = np.random.default_rng(5)
@@ -159,10 +158,12 @@ class TestCountKernels:
             assert list(got) == expected
 
 
-def _mixed_context(seed=0, threads=4, mode="sisa", trace=False):
+def _mixed_context(seed=0, threads=4, mode="sisa", trace=False, observability=None):
     """A context with a spread of sorted-SA / unsorted-SA / DB sets."""
     rng = np.random.default_rng(seed)
-    ctx = SisaContext(threads=threads, mode=mode, trace=trace)
+    ctx = SisaContext(
+        threads=threads, mode=mode, trace=trace, observability=observability
+    )
     ids = []
     for i in range(36):
         k = int(rng.integers(0, 50))
@@ -185,7 +186,6 @@ class TestBatchSequentialEquivalence:
         [
             ("intersect_count_batch", "intersect_count"),
             ("union_count_batch", "union_count"),
-            ("difference_count_batch", "difference_count"),
         ],
     )
     def test_count_batch_matches_scalar(self, mode, batch_name, scalar_name):
@@ -222,46 +222,57 @@ class TestBatchSequentialEquivalence:
         assert ctx_b.scu.stats == ctx_s.scu.stats
         assert ctx_b.trace.events == ctx_s.trace.events
 
-    @pytest.mark.parametrize("mode", ["sisa", "cpu-set"])
-    @pytest.mark.parametrize(
-        "batch_name,scalar_name",
-        [("union_batch", "union"), ("difference_batch", "difference")],
-    )
-    def test_materializing_union_difference_batch_matches_scalar(
-        self, mode, batch_name, scalar_name
-    ):
-        """The PR 5 satellite: materializing union/difference fan-outs,
-        cycle-identical to the per-op stream for every representation
-        pair (same dispatch path as intersect_batch)."""
-        ctx_b, ids_b = _mixed_context(mode=mode, trace=True)
-        ctx_s, ids_s = _mixed_context(mode=mode, trace=True)
-        a_b, a_s = ids_b[8], ids_s[8]
-        ctx_b.begin_task()
-        got_ids = getattr(ctx_b, batch_name)(a_b, ids_b[:20])
-        ctx_s.begin_task()
-        scalar_op = getattr(ctx_s, scalar_name)
-        exp_ids = [scalar_op(a_s, b) for b in ids_s[:20]]
-        assert got_ids == exp_ids
-        for g, e in zip(got_ids, exp_ids):
-            assert np.array_equal(
-                ctx_b.value(g).to_array(), ctx_s.value(e).to_array()
-            )
-            assert type(ctx_b.value(g)) is type(ctx_s.value(e))
-        assert ctx_b.runtime_cycles == ctx_s.runtime_cycles
-        assert ctx_b.scu.stats == ctx_s.scu.stats
-        assert ctx_b.scu.smb.stats == ctx_s.scu.smb.stats
-        assert ctx_b.trace.events == ctx_s.trace.events
-
     def test_empty_batch_charges_nothing(self):
         ctx, ids = _mixed_context()
         before = ctx.runtime_cycles
         instr = ctx.instruction_count
         assert ctx.intersect_count_batch(ids[0], []).size == 0
         assert ctx.intersect_batch(ids[0], []) == []
-        assert ctx.union_batch(ids[0], []) == []
-        assert ctx.difference_batch(ids[0], []) == []
         assert ctx.runtime_cycles == before
         assert ctx.instruction_count == instr
+
+
+class TestFusedCountBurst:
+    """A fused-macro constituent against the unfused batch over the same
+    frontier: the same counts, opcodes and trace; only the per-op
+    dispatch and probe-metadata fetches are elided."""
+
+    @pytest.mark.parametrize("include_decode", [True, False])
+    @pytest.mark.parametrize("kind", ["intersect", "union"])
+    def test_matches_the_unfused_batch(self, kind, include_decode):
+        unfused = {
+            "intersect": SisaContext.intersect_count_batch,
+            "union": SisaContext.union_count_batch,
+        }[kind]
+        runs = []
+        for fused in (True, False):
+            ctx, ids = _mixed_context(
+                seed=4, trace=True, observability=Observability()
+            )
+            ctx.begin_task()
+            if fused:
+                counts = ctx.count_burst(
+                    ids[5], ids[1:], kind=kind, include_decode=include_decode
+                )
+            else:
+                counts = unfused(ctx, ids[5], ids[1:])
+            kernels_opened = [
+                span.name
+                for span in ctx.obs.spans.roots
+                if span.name.startswith("kernel:")
+            ]
+            runs.append((ctx, counts, kernels_opened))
+        (ctx_f, counts_f, spans_f), (ctx_u, counts_u, spans_u) = runs
+        assert list(counts_f) == list(counts_u)
+        assert ctx_f.trace.events == ctx_u.trace.events
+        assert list(ctx_f.scu.stats.by_opcode.items()) == list(
+            ctx_u.scu.stats.by_opcode.items()
+        )
+        assert ctx_f.scu.stats.fused_macros == int(include_decode)
+        assert ctx_u.scu.stats.fused_macros == 0
+        assert ctx_f.runtime_cycles < ctx_u.runtime_cycles
+        assert spans_f == [f"kernel:fused_{kind}"]
+        assert spans_u == [f"kernel:{kind}_count"]
 
 
 @pytest.fixture(scope="module")

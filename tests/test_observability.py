@@ -423,6 +423,17 @@ class TestPoolObservability:
         # Fig. 9b per-tenant set-size aggregation saw real sets.
         assert snap["set_sizes"]["default"]["total"] > 0
 
+    def test_dedup_counter_carries_the_deduped_plans_tenant(self):
+        """bob's clustering coefficient reuses alice's triangle count:
+        the dedup is bob's, whichever tenant's slice ran last."""
+        pool = SessionPool(observability=True)
+        pool.session("g", gnp_random_graph(40, 0.2, seed=1))
+        pool.submit("g", "triangles", tenant="alice")
+        pool.submit("g", "clustering_coefficient", tenant="bob")
+        assert all(r.ok for r in _drain(pool))
+        dedup = pool.metrics()["metrics"]["plan_dedup_total"]["series"]
+        assert dedup == {"bob|clustering_coefficient": 1.0}
+
     def test_retry_cycles_mirrored_into_counters(self):
         class FailOnceLate:
             # Fail at a late stage, after charged work, so the wasted

@@ -24,6 +24,7 @@ Contracts under test:
   explicit invalidation.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from repro.graphs.orientation import (
     induced_out_degrees,
     result_from_order,
 )
-from repro.graphs.streams import EdgeBatch, canonical_edges
+from repro.graphs.streams import EdgeBatch, canonical_edges, churn_stream
 from repro.session import ExecutionConfig, SisaSession
 from repro.streaming import (
     DynamicSetGraph,
@@ -290,6 +291,31 @@ class TestSessionOrientationMaintenance:
             "triangles"
         )
         assert run.output == fresh.output
+
+    def test_clustering_coefficient_builds_no_csr_after_churn(self, monkeypatch):
+        """The wedge count reads the churned degrees from set metadata:
+        with the orientation maintained, a churned
+        ``clustering_coefficient`` rebuilds no CSR of the graph."""
+        graph, session, dyn = self._streaming_session()
+        session.maintain_orientation()
+        session.run("clustering_coefficient")
+        dyn.apply_batch(
+            churn_stream(graph, churn=0.1, num_batches=1, seed=2).batches[0]
+        )
+        builds = []
+        from_edges = CSRGraph.from_edges
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return from_edges(*args, **kwargs)
+
+        monkeypatch.setattr(CSRGraph, "from_edges", staticmethod(counted))
+        got = session.run("clustering_coefficient").output
+        assert builds == []
+        churned = nx.Graph()
+        churned.add_nodes_from(range(graph.num_vertices))
+        churned.add_edges_from(dyn.edge_array().tolist())
+        assert got == pytest.approx(nx.transitivity(churned), rel=1e-12)
 
     def test_maintain_orientation_requires_stream(self):
         graph = gnp_random_graph(20, 0.2, seed=1)

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.similarity import all_pairs_similarity_on
 from repro.analysis.static.racecheck import replay_certified
 from repro.analysis.static.smoke import SOAK_WORKLOADS, make_session
 from repro.errors import ConfigError, SisaError
@@ -234,6 +235,25 @@ class TestSequentialIdentity:
         assert (
             session.ctx.scu.smb.stats.hits == ref_session.ctx.scu.smb.stats.hits
         )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "measure", ["jaccard", "overlap", "common_neighbors", "total_neighbors"]
+    )
+    def test_similarity_pairs_stage_matches_the_eager_kernel(self, measure, mode):
+        """The planned watchlist stage issues exactly the instruction
+        stream of ``all_pairs_similarity_on``."""
+        graph = _graph()
+        pairs = _watchlist(graph.num_vertices, 24)
+        config = ExecutionConfig(threads=8, mode=mode, trace=True)
+        planned, eager = SisaSession(graph, config), SisaSession(graph, config)
+        assert planned.setgraph.num_vertices == eager.setgraph.num_vertices
+        got = planned.run("similarity_pairs", pairs=pairs, measure=measure).output
+        expected = all_pairs_similarity_on(
+            eager.ctx, eager.setgraph, pairs, measure=measure
+        )
+        assert np.array_equal(got, expected)
+        assert machine_state(planned.ctx) == machine_state(eager.ctx)
 
     def test_duplicate_plans_hit_the_cache_like_repeated_runs(self):
         graph = _graph()
@@ -974,6 +994,25 @@ class TestUnfusedFanout:
         trace=False,
         result_cache=False,
         budgets=(1024, 16384),
+    )
+    # The last slice before a deduped stage belongs to another tenant in
+    # one form and not the other; the dedup counter must carry the
+    # deduped plan's tenant either way.
+    @example(
+        n=2,
+        p=0.5,
+        seed=0,
+        picks=[(0, 0), (1, 1)],
+        lanes=1,
+        order=0,
+        mode="sisa",
+        threads=1,
+        machine="default",
+        t=0.0,
+        observability=True,
+        trace=False,
+        result_cache=False,
+        budgets=(1, 1),
     )
     @settings(max_examples=50, deadline=None)
     def test_replay_matches_per_unit_bursts(

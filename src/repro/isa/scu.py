@@ -214,6 +214,12 @@ class OperandTable:
         self.kinds.append(self.kind_of.setdefault(kind, len(self.kind_of)))
         return len(self.opcodes) - 1
 
+    def rows(self, counts) -> list[tuple]:
+        """The :meth:`Scu._tally` rows of ``counts``, ``(kind, n)``
+        pairs of this table's stats kinds and their multiplicities."""
+        kinds = list(self.kind_of)
+        return [(*kinds[kind], n) for kind, n in counts]
+
     def columns(self) -> tuple[np.ndarray, ...]:
         """The per-shape model compute, memory and latency as arrays
         (rebuilt only when shapes were added)."""
@@ -228,13 +234,16 @@ class OperandTable:
 
 @dataclass
 class FanoutDispatch:
-    """Outcome of one SCU dispatch over a run of fan-out instructions.
+    """Outcome of one table-based SCU dispatch: a fan-out chunk, a
+    fused macro's fan-out constituents or a BFS chunk.
 
-    Per-op cost components are Python float lists in instruction order
+    Per-item cost components are Python float lists in program order
     (the engine accumulates them exactly like :class:`BatchDispatch`'s);
-    ``shape[i]`` is op ``i``'s entry in the decision columns of its
-    table, and ``owners`` holds the per-owner stats deltas of a fused
-    macro.
+    ``shape`` holds each binary op's entry in the decision columns of
+    its table, in program order.  ``owners`` holds the per-owner stats
+    deltas of a fused macro, and ``bounds`` a BFS chunk's task
+    boundaries (task ``t``'s items at ``bounds[t] .. bounds[t + 1] -
+    1``).
     """
 
     compute: list[float]
@@ -242,21 +251,7 @@ class FanoutDispatch:
     latency: list[float]
     shape: np.ndarray | list[int]
     owners: list[DispatchStats] = field(default_factory=list)
-
-
-@dataclass
-class BfsDispatch:
-    """Outcome of :meth:`Scu.dispatch_bfs_chunk`: per-item compute,
-    memory and latency in program order (the engine accumulates them
-    like :class:`BatchDispatch`'s), task ``t``'s items at ``bounds[t]
-    .. bounds[t + 1] - 1``, and ``shape[t]``, its intersect's entry in
-    the table's decision columns."""
-
-    compute: list[float]
-    memory: list[float]
-    latency: list[float]
-    bounds: list[int]
-    shape: list[int]
+    bounds: list[int] = field(default_factory=list)
 
 
 class Scu:
@@ -459,6 +454,7 @@ class Scu:
         *,
         output_sizes: list[int] | None = None,
         count_only: bool = False,
+        include_decode: bool | None = None,
     ) -> BatchDispatch:
         """Amortized dispatch of ``a op b_i`` for a whole frontier.
 
@@ -471,20 +467,62 @@ class Scu:
         Python-level dispatch overhead: operand metadata is fetched
         once by the caller and variant decisions/model costs are
         memoized per operand shape.
+
+        With ``include_decode`` a bool, the burst is one constituent of
+        a *fused* cross-task count macro.  A plan executor fuses
+        compatible count-form frontier bursts from different workload
+        plans into one macro instruction: the SCU decodes the macro
+        once and each constituent burst names its probe operand once,
+        instead of re-dispatching and re-fetching the probe metadata
+        per op as the unfused stream does.  Charging rule (the explicit
+        lane-placement model of cross-task fusion):
+
+        * the macro decode (``scu_dispatch_cycles``) is paid once, by
+          the constituent with ``include_decode=True`` (the executor
+          sets it on the first burst of each macro) — it lands on that
+          burst's lane;
+        * each constituent pays its probe operand's SMB-cached metadata
+          lookup once, on its first op;
+        * each op pays its frontier operand's metadata lookup plus the
+          variant model cost — decided and costed by the very same
+          memoized :meth:`_decide` the sequential stream uses, so the
+          per-op *work* is unchanged; only the per-op dispatch/metadata
+          overhead is elided by the macro encoding.
+
+        Per-op stats and opcodes are recorded exactly like the unfused
+        burst (a fused macro is the same logical instruction stream);
+        ``stats.fused_macros`` counts the macros.  Not offered in
+        ``host_fallback`` mode — the host baseline has no SCU to fuse
+        dispatches in, so plan executors fall back to the unfused
+        batched stream there.
         """
         hw = self.hw
         stats = self.stats
         by_opcode = stats.by_opcode
         decide = self._decide
         host = self.host_fallback
-        disp_c = hw.scu_dispatch_cycles
+        fused = include_decode is not None
+        if fused and host:
+            raise IsaError("fused dispatch requires the SCU (sisa mode)")
         hit_c = hw.sm_hit_cycles
         miss_c = hw.pnm_random_access_cycles
         host_c = self.cpu.config.set_op_latency_cycles if host else 0.0
-        # The burst's SM lookups, in instruction order: A, B_1, A, B_2, ...
-        keys = [a.set_id] * (2 * len(bs))
-        keys[1::2] = [b.set_id for b in bs]
-        hits = self.smb.access_many(keys)
+        # The burst's SM lookups, in instruction order: A, B_1, A, B_2,
+        # ... unfused; A, B_1, B_2, ... fused.  Ops below len(probes)
+        # pay the decode and look A up.
+        ids = [b.set_id for b in bs]
+        if fused:
+            hits = self.smb.access_many([a.set_id, *ids])
+            probes = hits[:1]
+            frontier = hits[1:]
+            decode = hw.scu_dispatch_cycles if include_decode else 0.0
+        else:
+            keys = [a.set_id] * (2 * len(bs))
+            keys[1::2] = ids
+            hits = self.smb.access_many(keys)
+            probes = hits[0::2]
+            frontier = hits[1::2]
+            decode = hw.scu_dispatch_cycles
         opcodes: list[Opcode] = []
         backends: list[str] = []
         variants: list[str] = []
@@ -492,15 +530,19 @@ class Scu:
         memory: list[float] = []
         latency: list[float] = []
         for i, b in enumerate(bs):
-            # Metadata phase: identical accesses and float-accumulation
-            # order as `_metadata_cost(a_id, b_id)` + host latency.
-            comp = disp_c
+            # Metadata phase: the accesses and float-accumulation order
+            # of `_metadata_cost(a_id, b_id)` + host latency, less what
+            # a fused macro elides.
             lat = 0.0
-            if hits[2 * i]:
-                comp += hit_c
+            if i < len(probes):
+                comp = decode
+                if probes[i]:
+                    comp += hit_c
+                else:
+                    lat += miss_c
             else:
-                lat += miss_c
-            if hits[2 * i + 1]:
+                comp = 0.0
+            if frontier[i]:
                 comp += hit_c
             else:
                 lat += miss_c
@@ -518,8 +560,12 @@ class Scu:
             memory.append(cost.memory_bytes)
             latency.append(lat + cost.latency_cycles)
         stats.instructions += len(opcodes)
+        if include_decode:
+            stats.fused_macros += 1
         if self.obs is not None:
             self.obs.dispatch_batch(opcodes, backends)
+            if include_decode:
+                self.obs.fused_macro()
         return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
 
     def _resolve(self, table: OperandTable, codes: list[int], operands) -> list[int]:
@@ -551,21 +597,20 @@ class Scu:
                 entries[i] = e
         return entries  # type: ignore[return-value]
 
-    def _tally(self, bursts, base, groups=None) -> list[DispatchStats]:
-        """Record dispatched fan-out ops in the stats by multiplicity.
+    def _tally(self, rows, base, groups=None) -> list[DispatchStats]:
+        """Record dispatched ops in the stats by multiplicity.
 
-        ``bursts`` holds one ``(table, counts)`` per burst, in
-        instruction order, where ``counts`` maps stats kinds of
-        ``table`` to their multiplicity in the burst, in order of first
-        occurrence; ``base`` holds the counters before :meth:`_resolve`.
-        The counters become ``base`` plus each kind's increments times
-        its multiplicity, and new ``by_opcode`` keys and dispatch-feed
-        series appear in order of first occurrence.
+        ``rows`` holds ``(opcode, backend, increments, n)`` rows in
+        instruction order: ``n`` ops of ``opcode``, each adding
+        ``increments`` (``(counter, amount)`` pairs) to the counters
+        and feeding the ``backend`` dispatch series (none when
+        ``None``).  ``base`` holds the counters before
+        :meth:`_resolve`; they become ``base`` plus every row's
+        increments times ``n``.  New ``by_opcode`` keys and
+        dispatch-feed series appear in row order.
 
-        With ``groups`` (each burst's owner), also returns one stats
-        delta per owner, whose new ``by_opcode`` keys are ordered burst
-        by burst, each burst's in global key order, as adding one
-        per-burst delta at a time would order them.
+        With ``groups`` (each row's owner), also returns one stats
+        delta per owner.
         """
         stats = self.stats
         by_opcode = stats.by_opcode
@@ -574,43 +619,25 @@ class Scu:
         owners = (
             [DispatchStats() for __ in range(max(groups) + 1)] if groups else []
         )
-        counters = [[0] * len(_COUNTERS) for __ in owners]
-        for c, (table, counts) in enumerate(bursts):
-            kinds = list(table.kind_of)
-            if groups:
-                owner = owners[groups[c]]
-                mine = owner.by_opcode
-                acc = counters[groups[c]]
-                new: list[Opcode] = []
-            for kind, n in counts.items():
-                opcode, backend, increments = kinds[kind]
-                by_opcode[opcode] = by_opcode.get(opcode, 0) + n
+        for r, (opcode, backend, increments, n) in enumerate(rows):
+            by_opcode[opcode] = by_opcode.get(opcode, 0) + n
+            if backend is not None:
                 pair = (opcode, backend)
                 dispatched[pair] = dispatched.get(pair, 0) + n
+            for j, x in increments:
+                totals[j] += n * x
+            stats.instructions += n
+            if groups:
+                owner = owners[groups[r]]
+                owner.by_opcode[opcode] = owner.by_opcode.get(opcode, 0) + n
                 for j, x in increments:
-                    totals[j] += n * x
-                if groups:
-                    for j, x in increments:
-                        acc[j] += n * x
-                    owner.instructions += n
-                    if opcode in mine:
-                        mine[opcode] += n
-                    else:
-                        new.append(opcode)
-                        mine[opcode] = n
-            if groups and len(new) > 1:
-                # The burst's new keys enter in global key order.
-                rank = {opcode: r for r, opcode in enumerate(by_opcode)}
-                tail = {op: mine.pop(op) for op in sorted(new, key=rank.__getitem__)}
-                mine.update(tail)
+                    name = _COUNTERS[j]
+                    setattr(owner, name, getattr(owner, name) + n * x)
+                owner.instructions += n
         for name, total in zip(_COUNTERS, totals):
             setattr(stats, name, total)
-        stats.instructions += sum(sum(counts.values()) for __, counts in bursts)
         if self.obs is not None:
             self.obs.dispatch_counts(dispatched)
-        for owner, acc in zip(owners, counters):
-            for name, total in zip(_COUNTERS, acc):
-                setattr(owner, name, total)
         return owners
 
     def dispatch_count_fanout(
@@ -636,9 +663,7 @@ class Scu:
         * the stats are updated once per chunk by multiplicity
           (:meth:`_tally`).
         """
-        k = int(a_rows.size)
-        hw = self.hw
-        keys = np.empty(2 * k, dtype=np.int64)
+        keys = np.empty(2 * int(a_rows.size), dtype=np.int64)
         keys[0::2] = table.ids[a_rows]
         keys[1::2] = table.ids[b_rows]
         hits = np.asarray(self.smb.access_many(keys.tolist()), dtype=bool)
@@ -654,30 +679,30 @@ class Scu:
         )
         # Kinds new to the table are numbered in order of first
         # occurrence, so ascending kinds meet new keys in that order.
-        mult = np.bincount(np.asarray(table.kinds)[shape])
-        used = np.flatnonzero(mult)
-        self._tally([(table, dict(zip(used.tolist(), mult[used].tolist())))], base)
+        mult = np.bincount(np.asarray(table.kinds)[shape]).tolist()
+        self._tally(table.rows((kind, n) for kind, n in enumerate(mult) if n), base)
+        comp, mem, lat = self._binary_costs(table, shape, hits[0::2], hits[1::2])
+        return FanoutDispatch(comp.tolist(), mem.tolist(), lat.tolist(), shape)
+
+    def _binary_costs(self, table: OperandTable, shape, hit_a, hit_b):
+        """Per-op compute, memory and latency arrays of binary ops of
+        ``table``: :meth:`dispatch_binary`'s metadata phase (SMB
+        lookups ``hit_a`` and ``hit_b``) plus the model cost of entries
+        ``shape``, float for float (adding an exact 0.0 where a branch
+        there adds nothing)."""
+        hw = self.hw
         compute, memory, latency = table.columns()
-        # Metadata phase plus model cost, float for float as in
-        # dispatch_binary_batch (adding an exact 0.0 where a branch
-        # there adds nothing).
-        hit_a = hits[0::2]
-        hit_b = hits[1::2]
-        hit_c = hw.sm_hit_cycles
-        miss_c = hw.pnm_random_access_cycles
-        comp = np.full(k, hw.scu_dispatch_cycles, dtype=np.float64)
-        comp += hit_a * hit_c
-        comp += hit_b * hit_c
+        comp = np.full(shape.size, hw.scu_dispatch_cycles, dtype=np.float64)
+        comp += hit_a * hw.sm_hit_cycles
+        comp += hit_b * hw.sm_hit_cycles
         comp += compute[shape]
-        lat = np.zeros(k, dtype=np.float64)
-        lat += ~hit_a * miss_c
-        lat += ~hit_b * miss_c
+        lat = np.zeros(shape.size, dtype=np.float64)
+        lat += ~hit_a * hw.pnm_random_access_cycles
+        lat += ~hit_b * hw.pnm_random_access_cycles
         if self.host_fallback:
             lat += self.cpu.config.set_op_latency_cycles
         lat += latency[shape]
-        return FanoutDispatch(
-            comp.tolist(), memory[shape].tolist(), lat.tolist(), shape
-        )
+        return comp, memory[shape], lat
 
     def dispatch_fused_fanout(
         self, bursts, groups: list[int], *, include_decode: bool
@@ -689,8 +714,8 @@ class Scu:
         constituent: the count-form ops of probe row ``a`` of ``table``
         against rows ``b_rows``, with their operand shape ``codes`` and
         frontier set ``ids`` (lists); ``groups[c]`` numbers constituent
-        ``c``'s owner.  The modeled outcome equals one
-        :meth:`dispatch_binary_fused` per constituent, in order, with
+        ``c``'s owner.  The modeled outcome equals one fused
+        :meth:`dispatch_binary_batch` per constituent, in order, with
         ``include_decode`` on the first:
 
         * the SMB replays every constituent's lookups (its probe, then
@@ -701,7 +726,7 @@ class Scu:
           first op in op order across the tables;
         * the macro decode lands on the first op and each constituent's
           probe lookup on its own first op, composed float for float as
-          :meth:`dispatch_binary_fused` composes them;
+          :meth:`dispatch_binary_batch` composes them;
         * the stats are updated once, by multiplicity (:meth:`_tally`),
           and ``owners`` holds each owner's delta (the macro counts for
           constituent 0's).
@@ -714,8 +739,8 @@ class Scu:
             keys += ids
         hits = self.smb.access_many(keys)
         base = _counters(self.stats)
-        # dispatch_binary_fused's metadata phase, op by op, over entries
-        # resolved constituent by constituent (so in op order).
+        # The fused metadata phase, op by op, over entries resolved
+        # constituent by constituent (so in op order).
         hw = self.hw
         hit_c = hw.sm_hit_cycles
         miss_c = hw.pnm_random_access_cycles
@@ -723,10 +748,11 @@ class Scu:
         memory: list[float] = []
         latency: list[float] = []
         shape: list[int] = []
-        tallies = []
+        rows = []
+        owner_of = []
         p = 0
         comp = hw.scu_dispatch_cycles if include_decode else 0.0
-        for table, a, codes, b_rows, __ in bursts:
+        for (table, a, codes, b_rows, __), group in zip(bursts, groups):
             metas = table.metas
             ops = self._resolve(
                 table, codes, lambda i: (metas[a], metas[b_rows[i]], 0, True)
@@ -756,8 +782,9 @@ class Scu:
                 kind = kinds[e]
                 counts[kind] = counts.get(kind, 0) + 1
             shape += ops
-            tallies.append((table, counts))
-        owners = self._tally(tallies, base, groups)
+            rows += table.rows(counts.items())
+            owner_of += [group] * len(counts)
+        owners = self._tally(rows, base, owner_of)
         if include_decode:
             self.stats.fused_macros += 1
             owners[groups[0]].fused_macros += 1
@@ -778,7 +805,7 @@ class Scu:
         scan,
         *,
         counted: bool,
-    ) -> BfsDispatch:
+    ) -> FanoutDispatch:
         """Dispatch one chunk of BFS level tasks at once.
 
         Task ``t`` is, in program order: the materializing ``INTERSECT``
@@ -799,16 +826,13 @@ class Scu:
           float operations as :meth:`dispatch_binary`,
           :meth:`dispatch_cardinality`, :meth:`dispatch_element_update`
           and :meth:`dispatch_delete`;
-        * the stats are updated once, by multiplicity, with new
-          ``by_opcode`` keys and dispatch-feed series in order of first
-          occurrence.
+        * the stats are updated once, by multiplicity (:meth:`_tally`).
         """
         hw = self.hw
         host = self.host_fallback
         disp_c = hw.scu_dispatch_cycles
         hit_c = hw.sm_hit_cycles
         miss_c = hw.pnm_random_access_cycles
-        k = int(rows.size)
         card = int(counted)
         # Each task's charged items and SMB lookups, and its start in
         # both sequences.
@@ -850,28 +874,13 @@ class Scu:
             ),
             dtype=np.int64,
         )
-        self._tally_tasks(table, shape, inserts, counted, base)
-        compute, memory, latency = table.columns()
+        self._tally(self._bfs_rows(table, shape, inserts, counted), base)
         comp = np.empty(insert_item.size, dtype=np.float64)
         mem = np.empty(insert_item.size, dtype=np.float64)
         lat = np.empty(insert_item.size, dtype=np.float64)
-        # dispatch_binary's metadata phase plus the model cost (adding
-        # an exact 0.0 where a branch there adds nothing).
-        hit_a = hits[l_start]
-        hit_b = hits[l_start + 1]
-        c = np.full(k, disp_c, dtype=np.float64)
-        c += hit_a * hit_c
-        c += hit_b * hit_c
-        c += compute[shape]
-        la = np.zeros(k, dtype=np.float64)
-        la += ~hit_a * miss_c
-        la += ~hit_b * miss_c
-        if host:
-            la += self.cpu.config.set_op_latency_cycles
-        la += latency[shape]
-        comp[i_start] = c
-        mem[i_start] = memory[shape]
-        lat[i_start] = la
+        comp[i_start], mem[i_start], lat[i_start] = self._binary_costs(
+            table, shape, hits[l_start], hits[l_start + 1]
+        )
         # One-lookup metadata ops, as _metadata_cost and
         # dispatch_delete compose them: the cardinality and the delete.
         metadata = [(i_end - 1, hits[l_end - 1])]
@@ -892,146 +901,37 @@ class Scu:
         comp[insert_item] = (disp_c + hit_t * hit_c) + write.compute_cycles
         mem[insert_item] = 0.0 + write.memory_bytes
         lat[insert_item] = ~hit_t * miss_c + write.latency_cycles
-        return BfsDispatch(
+        return FanoutDispatch(
             comp.tolist(),
             mem.tolist(),
             lat.tolist(),
-            [0] + i_end.tolist(),
             shape.tolist(),
+            bounds=[0] + i_end.tolist(),
         )
 
-    def _tally_tasks(self, table, shape, inserts, counted: bool, base) -> None:
-        """Record a :meth:`dispatch_bfs_chunk` chunk's instructions in
-        the stats by multiplicity: counters from ``base`` (before
-        :meth:`_resolve`), new ``by_opcode`` keys and dispatch-feed
-        series in order of first occurrence (a DELETE feeds none, as in
-        :meth:`dispatch_delete`)."""
+    def _bfs_rows(self, table, shape, inserts, counted: bool) -> list[tuple]:
+        """The :meth:`_tally` rows of a :meth:`dispatch_bfs_chunk`
+        chunk, in order of first occurrence (a DELETE feeds no dispatch
+        series, as in :meth:`dispatch_delete`)."""
         k = len(shape)
-        kinds = list(table.kind_of)
         task_kinds = np.asarray(table.kinds)[shape]
         used, first = np.unique(task_kinds, return_index=True)
         mult = np.bincount(task_kinds)[used]
-        # (position, opcode, backend, increments, count); a task's ops
-        # sit at positions 4t (intersect) .. 4t + 3 (delete).
-        ops = [
-            (4 * f, *kinds[kind], n)
-            for kind, f, n in zip(used.tolist(), first.tolist(), mult.tolist())
-        ]
+        # (position, row); a task's ops sit at positions 4t (intersect)
+        # .. 4t + 3 (delete).
+        ops = list(
+            zip((4 * first).tolist(), table.rows(zip(used.tolist(), mult.tolist())))
+        )
         if counted:
-            ops.append((1, Opcode.CARDINALITY, "scu", (), k))
+            ops.append((1, (Opcode.CARDINALITY, "scu", (), k)))
         written = np.flatnonzero(inserts)
         if written.size:
-            counter = "host_ops" if self.host_fallback else "pum_ops"
-            ops.append(
-                (
-                    4 * int(written[0]) + 2,
-                    Opcode.INSERT_DB,
-                    "host" if self.host_fallback else "pum",
-                    ((_COUNTERS.index(counter), 1),),
-                    int(inserts.sum()),
-                )
-            )
-        ops.append((3, Opcode.DELETE, None, (), k))
-        stats = self.stats
-        by_opcode = stats.by_opcode
-        dispatched: dict[tuple[Opcode, str], int] = {}
-        totals = list(base)
-        for __, opcode, backend, increments, n in sorted(ops, key=itemgetter(0)):
-            by_opcode[opcode] = by_opcode.get(opcode, 0) + n
-            if backend is not None:
-                pair = (opcode, backend)
-                dispatched[pair] = dispatched.get(pair, 0) + n
-            for j, step in increments:
-                totals[j] += n * step
-        for name, total in zip(_COUNTERS, totals):
-            setattr(stats, name, total)
-        stats.instructions += k * (2 + counted) + int(inserts.sum())
-        if self.obs is not None:
-            self.obs.dispatch_counts(dispatched)
-
-    def dispatch_binary_fused(
-        self,
-        op: SetOp,
-        a: SetMeta,
-        bs: list[SetMeta],
-        *,
-        count_only: bool = True,
-        include_decode: bool = False,
-    ) -> BatchDispatch:
-        """One constituent burst of a *fused* cross-task count macro.
-
-        A plan executor fuses compatible count-form frontier bursts from
-        different workload plans into one macro instruction: the SCU
-        decodes the macro once and each constituent burst names its
-        probe operand once, instead of re-dispatching and re-fetching
-        the probe metadata per op as the unfused stream does.  Charging
-        rule (the explicit lane-placement model of cross-task fusion):
-
-        * the macro decode (``scu_dispatch_cycles``) is paid once, by
-          the constituent with ``include_decode=True`` (the executor
-          sets it on the first burst of each macro) — it lands on that
-          burst's lane;
-        * each constituent pays its probe operand's SMB-cached metadata
-          lookup once, on its own lane;
-        * each op pays only its frontier operand's metadata lookup plus
-          the variant model cost — decided and costed by the very same
-          memoized :meth:`_decide` the sequential stream uses, so the
-          per-op *work* is unchanged; only the per-op dispatch/metadata
-          overhead is elided by the macro encoding.
-
-        Per-op stats and opcodes are recorded exactly like the unfused
-        burst (a fused macro is the same logical instruction stream);
-        ``stats.fused_macros`` counts the macros.  Not offered in
-        ``host_fallback`` mode — the host baseline has no SCU to fuse
-        dispatches in, so plan executors fall back to the unfused
-        batched stream there.
-        """
-        if self.host_fallback:
-            raise IsaError("fused dispatch requires the SCU (sisa mode)")
-        hw = self.hw
-        access = self.smb.access
-        stats = self.stats
-        by_opcode = stats.by_opcode
-        decide = self._decide
-        hit_c = hw.sm_hit_cycles
-        miss_c = hw.pnm_random_access_cycles
-        comp0 = hw.scu_dispatch_cycles if include_decode else 0.0
-        lat0 = 0.0
-        if access(a.set_id):
-            comp0 += hit_c
-        else:
-            lat0 += miss_c
-        opcodes: list[Opcode] = []
-        backends: list[str] = []
-        variants: list[str] = []
-        compute: list[float] = []
-        memory: list[float] = []
-        latency: list[float] = []
-        for b in bs:
-            comp = comp0
-            lat = lat0
-            comp0 = 0.0
-            lat0 = 0.0
-            if access(b.set_id):
-                comp += hit_c
-            else:
-                lat += miss_c
-            opcode, backend, variant, cost = decide(op, a, b, 0, count_only)
-            by_opcode[opcode] = by_opcode.get(opcode, 0) + 1
-            opcodes.append(opcode)
-            backends.append(backend)
-            variants.append(variant)
-            compute.append(comp + cost.compute_cycles)
-            memory.append(cost.memory_bytes)
-            latency.append(lat + cost.latency_cycles)
-        stats.instructions += len(opcodes)
-        if include_decode:
-            stats.fused_macros += 1
-        if self.obs is not None:
-            self.obs.dispatch_batch(opcodes, backends)
-            if include_decode:
-                self.obs.fused_macro()
-        return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
+            backend = "host" if self.host_fallback else "pum"
+            increments = ((_COUNTERS.index(f"{backend}_ops"), 1),)
+            row = (Opcode.INSERT_DB, backend, increments, int(inserts.sum()))
+            ops.append((4 * int(written[0]) + 2, row))
+        ops.append((3, (Opcode.DELETE, None, (), k)))
+        return [row for __, row in sorted(ops, key=itemgetter(0))]
 
     def _dispatch_dense_pair(
         self, op: SetOp, a: SetMeta, *, count_only: bool

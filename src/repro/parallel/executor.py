@@ -127,9 +127,9 @@ class ParallelExecutor(PlanExecutor):
         self.gate.complete(node_id)
         self.ledger.charge(node_id)
 
-    def _fanout(self, fanout: Fanout, state: dict, opcodes: dict) -> None:
+    def _fanout(self, fanout: Fanout, state: dict) -> None:
         provider = partial(self.runtime.fanout_partials, self.session)
-        fanout.run(self.session, state, provider=provider, opcodes=opcodes)
+        fanout.run(self.session, state, provider=provider)
 
     def _counts(self, unit: BurstUnit) -> np.ndarray:
         inter = self.runtime.partial_counts(

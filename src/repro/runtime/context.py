@@ -72,16 +72,12 @@ class FanoutProgram:
     intersect_counts`) — the fan-out analogue of
     :meth:`SisaContext.count_burst`'s ``inter``, through which the
     shard-parallel workers of :mod:`repro.parallel` feed their counts.
-
-    ``opcodes``, when given, is a dict to which every dispatched chunk
-    adds the opcodes its bursts issued (see :meth:`issued`).
     """
 
-    def __init__(self, sm, set_ids, provider=None, opcodes=None):
+    def __init__(self, sm, set_ids, provider=None):
         metas = sm.metas_of(set_ids)
         self.set_ids = set_ids
         self.provider = provider
-        self.opcodes = opcodes
         self.table = OperandTable(SetOp.INTERSECT_COUNT, metas)
         self.rows = batchmod.FanoutRows(
             sm.values_of(set_ids), metas[0].universe if metas else 0
@@ -119,25 +115,6 @@ class FanoutProgram:
         cum = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(self.counts, out=cum[1:])
         self.sums = cum[bounds[1:]] - cum[bounds[:-1]]
-
-    def issued(self, shape: np.ndarray, by_opcode: dict) -> None:
-        """Add the opcodes of the current chunk's dispatched ops (table
-        entries ``shape``) to :attr:`opcodes` in the order adding one
-        stats delta per burst would add them: by the burst of their
-        first op, a burst's new ones in ``by_opcode``'s (the SCU's
-        global) key order."""
-        seen = self.opcodes
-        opcodes = self.table.opcodes
-        entries, first = np.unique(shape, return_index=True)
-        tasks = np.searchsorted(self.bounds, first, side="right")
-        new: dict = {}
-        for e, t in zip(entries.tolist(), tasks.tolist()):
-            opcode = opcodes[e]
-            if opcode not in seen and t < new.get(opcode, t + 1):
-                new[opcode] = t
-        rank = {opcode: r for r, opcode in enumerate(by_opcode)}
-        for opcode in sorted(new, key=lambda op: (new[op], rank[op])):
-            seen[opcode] = None
 
 
 class BfsProgram:
@@ -238,10 +215,6 @@ class SisaContext:
         """Start a parallel task ("[in par]" loop body in the listings)."""
         self._current_lane = self.engine.begin_task()
         return self._current_lane
-
-    @contextmanager
-    def task(self) -> Iterator[int]:
-        yield self.begin_task()
 
     @contextmanager
     def on_lane(self, lane: int) -> Iterator[int]:
@@ -438,9 +411,10 @@ class SisaContext:
         are identical to issuing the ops sequentially on the current
         task's lane.  With ``include_decode`` a bool, the burst is one
         constituent of a fused cross-task macro, charged to the current
-        lane under :meth:`~repro.isa.scu.Scu.dispatch_binary_fused`'s
-        rule (one macro decode per fused group, charged when
-        ``include_decode``; one probe-metadata lookup per constituent).
+        lane under the fused rule of
+        :meth:`~repro.isa.scu.Scu.dispatch_binary_batch` (one macro
+        decode per fused group, charged when ``include_decode``; one
+        probe-metadata lookup per constituent).
         Plan executors wrap each constituent in :meth:`on_lane` so the
         charges land on the lane the unit's task was placed on.
 
@@ -475,14 +449,9 @@ class SisaContext:
             cards = np.fromiter((m.cardinality for m in metas), np.int64, n)
             op = SetOp.UNION_COUNT
             counts = batchmod.derive_counts(kind, va.cardinality, cards, inter)
-        if fused:
-            bd = self.scu.dispatch_binary_fused(
-                op, sm.meta(a), metas, count_only=True, include_decode=include_decode
-            )
-        else:
-            bd = self.scu.dispatch_binary_batch(
-                op, sm.meta(a), metas, count_only=True
-            )
+        bd = self.scu.dispatch_binary_batch(
+            op, sm.meta(a), metas, count_only=True, include_decode=include_decode
+        )
         self._charge_burst(bd, span, va.cardinality, metas, counts)
         return counts
 
@@ -557,13 +526,10 @@ class SisaContext:
                     )
                 )
 
-    def fanout_counts(
-        self, set_ids, *, provider=None, opcodes=None
-    ) -> np.ndarray:
+    def fanout_counts(self, set_ids, *, provider=None) -> np.ndarray:
         """Per-vertex ``Σ_{u ∈ N(v)} |N(v) ∩ N(u)|`` over a whole
         neighbourhood fan-out, run as one chunked array program
-        (``provider`` and ``opcodes`` as :class:`FanoutProgram` takes
-        them).
+        (``provider`` as :class:`FanoutProgram` takes it).
 
         ``set_ids[v]`` names ``N(v)``, whose elements are vertices.  The
         instruction stream, and with it every modeled cycle, stat, SMB
@@ -586,7 +552,7 @@ class SisaContext:
         sums = np.zeros(n, dtype=np.int64)
         if n == 0:
             return sums
-        program = FanoutProgram(self.sm, set_ids, provider, opcodes)
+        program = FanoutProgram(self.sm, set_ids, provider)
         while program.v1 < n:
             program.chunk(program.v1)
             self._fanout_chunk(program, sums)
@@ -614,10 +580,8 @@ class SisaContext:
         fd = self.scu.dispatch_count_fanout(
             table, program.a_rows, program.b_rows, program.codes
         )
-        if program.opcodes is not None:
-            program.issued(fd.shape, self.scu.stats.by_opcode)
         compute, memory, latency = fd.compute, fd.memory, fd.latency
-        trace = self.trace if self.trace.enabled else None
+        tracing = self.trace.enabled
         span_cycles = 0.0
         for t, size in enumerate(degrees):
             lane = self._current_lane = engine.begin_task()
@@ -635,20 +599,10 @@ class SisaContext:
                 )
                 span_cycles += cycles
                 obs.burst(cycles, size, cards[i0:i1])
-            if trace is not None:
-                for i in range(i0, i1):
-                    j = fd.shape[i]
-                    trace.record(
-                        TraceEvent(
-                            opcode=table.opcodes[j],
-                            lane=lane,
-                            size_a=size,
-                            size_b=cards[i],
-                            output_size=int(counts[i]),
-                            backend=table.backends[j],
-                            variant=table.variants[j],
-                        )
-                    )
+            if tracing:
+                self._trace_table_ops(
+                    table, fd.shape[i0:i1], lane, size, cards[i0:i1], counts[i0:i1]
+                )
         if obs is not None:
             obs.spans.end(span, cycles=span_cycles)
 
@@ -729,7 +683,7 @@ class SisaContext:
         engine = self.engine
         bpc = engine.bytes_per_cycle
         obs = self.obs
-        trace = self.trace if self.trace.enabled else None
+        tracing = self.trace.enabled
         compute, memory, latency = fd.compute, fd.memory, fd.latency
         cycles: list[float] | None = [] if obs is not None else None
         i0 = 0
@@ -749,21 +703,10 @@ class SisaContext:
                 )
                 cycles.append(burst)
                 obs.burst(burst, size_a, cards)
-            if trace is not None:
-                table = program.table
-                for i, size_b, count in zip(range(i0, i1), cards, counts.tolist()):
-                    j = fd.shape[i]
-                    trace.record(
-                        TraceEvent(
-                            opcode=table.opcodes[j],
-                            lane=lane,
-                            size_a=size_a,
-                            size_b=size_b,
-                            output_size=count,
-                            backend=table.backends[j],
-                            variant=table.variants[j],
-                        )
-                    )
+            if tracing:
+                self._trace_table_ops(
+                    program.table, fd.shape[i0:i1], lane, size_a, cards, counts
+                )
             i0 = i1
         return FusedFanout([s for __, __, s in views], cycles, fd.owners)
 
@@ -860,7 +803,7 @@ class SisaContext:
         if inserted.size:
             sm.update(target, sm.value(target).with_elements(inserted))
         engine = self.engine
-        trace = self.trace if self.trace.enabled else None
+        tracing = self.trace.enabled
         compute, memory, latency = fd.compute, fd.memory, fd.latency
         bounds = fd.bounds
         for t, v in enumerate(tasks.tolist()):
@@ -868,19 +811,36 @@ class SisaContext:
             i0 = bounds[t]
             i1 = bounds[t + 1]
             engine.charge_batch(compute[i0:i1], memory[i0:i1], latency[i0:i1])
-            if trace is not None:
-                j = fd.shape[t]
-                trace.record(
-                    TraceEvent(
-                        opcode=table.opcodes[j],
-                        lane=lane,
-                        size_a=int(table.cards[v]),
-                        size_b=xval.cardinality,
-                        output_size=int(sizes[t]),
-                        backend=table.backends[j],
-                        variant=table.variants[j],
-                    )
+            if tracing:
+                self._trace_table_ops(
+                    table,
+                    fd.shape[t:t + 1],
+                    lane,
+                    int(table.cards[v]),
+                    (xval.cardinality,),
+                    sizes[t:t + 1],
                 )
+
+    def _trace_table_ops(
+        self, table: OperandTable, entries, lane: int, size_a: int, sizes_b, outputs
+    ) -> None:
+        """Record one trace event per binary op of a table-based
+        dispatch on ``lane``: op ``i`` is ``table``'s decision-column
+        entry ``entries[i]``, of operand sizes ``size_a`` and
+        ``sizes_b[i]`` and result size ``outputs[i]``."""
+        record = self.trace.record
+        for j, size_b, output in zip(entries, sizes_b, outputs):
+            record(
+                TraceEvent(
+                    opcode=table.opcodes[j],
+                    lane=lane,
+                    size_a=size_a,
+                    size_b=size_b,
+                    output_size=int(output),
+                    backend=table.backends[j],
+                    variant=table.variants[j],
+                )
+            )
 
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one
@@ -1121,9 +1081,6 @@ class SisaContext:
                 cost = self.scu.pnm.scan(size)
             self._scan_costs[size] = cost
         return cost
-
-    def is_empty(self, set_id: int) -> bool:
-        return self.cardinality(set_id) == 0
 
     # ------------------------------------------------------------------
     # Host-side (non-SISA) work

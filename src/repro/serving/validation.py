@@ -13,7 +13,7 @@ dataclass constructor.  The rule engine moves all of that to the door:
   applies to and returns violations instead of raising.
 * :class:`RuleSet` composes validators; :func:`default_rules` builds
   the stock set for a workload (every global rule plus its targeted
-  ones), and callers may pass their own composition.
+  ones).
 * :func:`validate_request` is the single validation code path shared
   by ``session.compile``, ``session.run`` and ``pool.submit``.  On
   failure it raises one structured
@@ -167,7 +167,7 @@ def available_rules(scope: str | None = None) -> dict[str, str]:
 
 
 class RuleSet:
-    """An ordered, composable collection of registered rules."""
+    """An ordered collection of registered rules."""
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
@@ -184,12 +184,6 @@ class RuleSet:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def extend(self, names: Iterable[str]) -> "RuleSet":
-        """A new RuleSet with extra rules appended (dedup, keep order)."""
-        merged = list(self.names)
-        merged.extend(n for n in names if n not in merged)
-        return RuleSet(merged)
 
     def validate(self, ctx: RequestContext) -> list[Violation]:
         """Run every applicable rule; returns all violations found."""
@@ -493,13 +487,7 @@ def _raise(workload: str | None, violations: list[Violation]) -> None:
     )
 
 
-def validate_request(
-    session,
-    workload: str,
-    params: Mapping[str, Any],
-    *,
-    rules: RuleSet | None = None,
-):
+def validate_request(session, workload: str, params: Mapping[str, Any]):
     """Validate one workload request; returns the resolved
     :class:`~repro.session.registry.WorkloadSpec` on success.
 
@@ -540,8 +528,7 @@ def validate_request(
     ctx = RequestContext(
         workload=spec.name, params=dict(params), spec=spec, session=session
     )
-    ruleset = rules if rules is not None else default_rules(spec.name)
-    violations = ruleset.validate(ctx)
+    violations = default_rules(spec.name).validate(ctx)
     if violations:
         _raise(spec.name, violations)
     return spec

@@ -165,11 +165,9 @@ class Fanout:
             return session.oriented_setgraph
         return session.setgraph
 
-    def run(
-        self, session, state: dict, *, provider=None, opcodes=None
-    ) -> None:
+    def run(self, session, state: dict, *, provider=None) -> None:
         sums = session.ctx.fanout_counts(
-            self.setgraph(session).set_ids, provider=provider, opcodes=opcodes
+            self.setgraph(session).set_ids, provider=provider
         )
         self.init(state, sums.size)
         self.fold(state, np.arange(sums.size), sums)
@@ -896,15 +894,13 @@ class PlanExecutor:
 
     # -- per-unit and per-node extension points ------------------------
 
-    def _fanout(self, fanout: Fanout, state: dict, opcodes: dict) -> None:
+    def _fanout(self, fanout: Fanout, state: dict) -> None:
         """Execute one fan-out stage in place as one chunked program
-        (scheduled replay), collecting the opcodes its bursts issue in
-        ``opcodes`` (see :meth:`~repro.runtime.context.FanoutProgram.
-        issued`).
+        (scheduled replay).
 
         The shard-parallel executor overrides this seam to supply the
         program's counts from worker processes, chunk by chunk."""
-        fanout.run(self.session, state, opcodes=opcodes)
+        fanout.run(self.session, state)
 
     def _counts(self, unit: BurstUnit) -> np.ndarray:
         """Execute one burst unit's count batch in place, unfused (the
@@ -1067,13 +1063,8 @@ class PlanExecutor:
             if stage.fanout is not None and self.schedule is not None:
                 # A replay runs the node to completion: the whole stage
                 # is one chunked program in one slice.
-                opcodes: dict = {}
                 with self._slice(run):
-                    self._fanout(stage.fanout, run.state, opcodes)
-                    # Key the plan's stats in the order one slice per
-                    # burst would have added them.
-                    for opcode in opcodes:
-                        run.stats.by_opcode.setdefault(opcode, 0)
+                    self._fanout(stage.fanout, run.state)
                 self._end_stage(run, stage, key)
                 return True
             with self._attribute(run):

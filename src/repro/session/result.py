@@ -10,7 +10,7 @@ per-run report equals the context's lifetime report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.hw.engine import EngineReport
@@ -29,7 +29,7 @@ class RunResult:
     workload: str
     output: Any
     report: EngineReport  # this run's engine delta
-    stats: DispatchStats  # this run's SCU counter deltas
+    stats: DispatchStats  # this run's SCU counter deltas, opcodes in order
     registrations: int  # sets registered during this run
     config: ExecutionConfig  # configuration echo
     params: dict[str, Any]  # workload parameters echo
@@ -55,6 +55,13 @@ class RunResult:
     # (``plan:{name}`` → stages → kernels); dump it with
     # :func:`repro.observability.write_chrome_trace`.  None otherwise.
     spans: Any = None
+
+    def __post_init__(self) -> None:
+        # Every execution path reports the same opcodes in the same
+        # order, however its dispatches interleaved them.
+        self.stats = replace(
+            self.stats, by_opcode=dict(sorted(self.stats.by_opcode.items()))
+        )
 
     @property
     def runtime_cycles(self) -> float:

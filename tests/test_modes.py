@@ -13,6 +13,12 @@ race detector, at four; a fused pool on the ``cpu-set`` host baseline;
 a stream-maintained session after one churn batch (checked against the
 post-churn graph); and, once on a fixed graph, sharded execution on two
 worker processes.
+
+The eager kernels no plan decomposes run against networkx too:
+``similarity_pairs`` under the measures the stage compiler leaves to
+one opaque call stage (``session.run`` and a strict pool), and view
+runs of ``local_clustering`` and ``similarity_pairs`` on a snapshot and
+on the live stream after a churn batch.
 """
 
 from __future__ import annotations
@@ -98,6 +104,22 @@ def _jaccard(graph: CSRGraph, pairs: np.ndarray) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64)
 
 
+#: The similarity measures the stage compiler leaves to one opaque
+#: ``run:similarity_pairs`` call stage, with their networkx references.
+OPAQUE_MEASURES = {
+    "adamic_adar": nx.adamic_adar_index,
+    "resource_allocation": nx.resource_allocation_index,
+    "preferential_attachment": nx.preferential_attachment,
+}
+
+
+def _nx_scores(nxg: nx.Graph, pairs: np.ndarray, measure: str) -> np.ndarray:
+    # networkx reads a one-shot ebunch iterator empty; pass a list.
+    ebunch = [tuple(pair) for pair in pairs.tolist()]
+    scores = [score for __, __, score in OPAQUE_MEASURES[measure](nxg, ebunch)]
+    return np.asarray(scores, dtype=np.float64)
+
+
 def _check(graph: CSRGraph, batch, outputs, mode: str) -> None:
     """Assert every output of ``batch`` against its reference on
     ``graph``."""
@@ -142,8 +164,11 @@ def _check(graph: CSRGraph, batch, outputs, mode: str) -> None:
             clustering = nx.clustering(nxg)
             expected = np.asarray([clustering[v] for v in range(n)])
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9, err_msg=where)
-        elif name == "similarity_pairs":
+        elif name == "similarity_pairs" and params["measure"] == "jaccard":
             expected = _jaccard(graph, params["pairs"])
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9, err_msg=where)
+        elif name == "similarity_pairs":
+            expected = _nx_scores(nxg, params["pairs"], params["measure"])
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9, err_msg=where)
         else:  # pragma: no cover - the batch is fixed above
             raise AssertionError(f"no reference for {name}")
@@ -278,3 +303,47 @@ class TestModesAgainstReferences:
         finally:
             pool.close()
         _check(graph, batch, outputs, "pool.run(lanes=2, parallel=True)")
+
+
+class TestUnplannedKernelsAgainstReferences:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_opaque_similarity_measures(self, seed):
+        graph = gnp_random_graph(50, 0.15, seed=seed)
+        pairs = _pairs(graph.num_vertices)
+        batch = [
+            ("similarity_pairs", {"pairs": pairs, "measure": measure})
+            for measure in OPAQUE_MEASURES
+        ]
+        session = SisaSession(graph, _config())
+        for name, params in batch:
+            plan = session.compile(name, **params)
+            assert plan.describe() == ["run:similarity_pairs"]
+        _check(graph, batch, _session_run(graph, batch, seed), "session.run")
+        _check(graph, batch, _strict_pool(graph, batch, seed), "strict pool")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_view_runs(self, seed):
+        graph = gnp_random_graph(50, 0.15, seed=seed)
+        pairs = _pairs(graph.num_vertices)
+        batch = [("local_clustering", {})] + [
+            ("similarity_pairs", {"pairs": pairs, "measure": measure})
+            for measure in ("jaccard", *OPAQUE_MEASURES)
+        ]
+        session = SisaSession(graph, _config())
+        session.attach_stream()
+        snapshot = session.snapshot()
+        stream = churn_stream(graph, churn=0.2, num_batches=1, seed=seed)
+        session.stream.apply_batch(stream.batches[0])
+        churned = CSRGraph.from_edges(graph.num_vertices, stream.final_edges())
+        try:
+            for view, reference, mode in (
+                (snapshot, graph, "snapshot view"),
+                (session.stream, churned, "live view after churn"),
+            ):
+                outputs = [
+                    session.run(name, view=view, **params).output
+                    for name, params in batch
+                ]
+                _check(reference, batch, outputs, mode)
+        finally:
+            snapshot.release()

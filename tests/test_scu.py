@@ -191,6 +191,73 @@ class TestDispatch:
         assert scu.stats.by_opcode[Opcode.INTERSECT_DB_DB] == 1
 
 
+class TestFusedBurst:
+    """The fused charging rule in closed form: with the SMB off every
+    lookup misses, so each op's cost follows from its :meth:`Scu._decide`
+    cost alone."""
+
+    # Non-dyadic latencies, so a sum composed in another order shows.
+    HW = HardwareConfig(
+        scu_dispatch_cycles=0.1, sm_hit_cycles=0.3, pnm_random_access_ns=1.7
+    )
+
+    @pytest.mark.parametrize("probe_dense", [False, True])
+    @pytest.mark.parametrize("include_decode", [True, False])
+    @pytest.mark.parametrize("op", [SetOp.INTERSECT_COUNT, SetOp.UNION_COUNT])
+    def test_costs_follow_the_charging_rule(
+        self, table, op, include_decode, probe_dense
+    ):
+        hw = self.HW
+        a = register_db(table, 300) if probe_dense else register_sa(table, 40)[0]
+        bs = [
+            register_sa(table, 12)[0],
+            register_db(table, 900),
+            register_sa(table, 2000)[0],
+            register_sa(table, 40)[0],
+            register_db(table, 5),
+        ]
+        meta_a = table.meta(a)
+        metas = [table.meta(b) for b in bs]
+        scu = Scu(hw, smb_enabled=False)
+        fused = scu.dispatch_binary_batch(
+            op, meta_a, metas, count_only=True, include_decode=include_decode
+        )
+        unfused = Scu(hw, smb_enabled=False).dispatch_binary_batch(
+            op, meta_a, metas, count_only=True
+        )
+        costs = [
+            Scu(hw, smb_enabled=False)._decide(op, meta_a, m, 0, True)[3]
+            for m in metas
+        ]
+        miss = hw.pnm_random_access_cycles
+        decode = hw.scu_dispatch_cycles if include_decode else 0.0
+        assert fused.compute == [decode + costs[0].compute_cycles] + [
+            c.compute_cycles for c in costs[1:]
+        ]
+        assert fused.latency == [2 * miss + costs[0].latency_cycles] + [
+            miss + c.latency_cycles for c in costs[1:]
+        ]
+        assert fused.memory == [c.memory_bytes for c in costs]
+        assert fused.opcodes == unfused.opcodes
+        assert fused.backends == unfused.backends
+        assert fused.variants == unfused.variants
+        assert scu.smb.stats.misses == 1 + len(bs)
+        assert scu.stats.instructions == len(bs)
+        assert scu.stats.fused_macros == int(include_decode)
+
+    def test_host_fallback_cannot_fuse(self, table):
+        scu = Scu(self.HW, host_fallback=True)
+        a = register_db(table, 10)
+        with pytest.raises(IsaError):
+            scu.dispatch_binary_batch(
+                SetOp.INTERSECT_COUNT,
+                table.meta(a),
+                [table.meta(a)],
+                count_only=True,
+                include_decode=True,
+            )
+
+
 class TestMetadataTable:
     def test_register_and_lookup(self, table):
         sid = table.register(SparseArray([1, 2], UNIVERSE))

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import IsaError, SetError
 from repro.hw.cache import LruCache
 from repro.hw.config import CpuConfig, HardwareConfig
-from repro.hw.cost import Cost
+from repro.hw.cost import ZERO_COST, Cost
 from repro.hw.cpu import CpuBackend
 from repro.hw.pnm import PnmBackend
 from repro.hw.pum import PumBackend
@@ -304,24 +304,50 @@ class Scu:
     _MEMO_LIMIT = 1 << 16
 
     # ------------------------------------------------------------------
-    # Metadata access costs
+    # The per-op body of every scalar instruction
     # ------------------------------------------------------------------
 
-    def _metadata_cost(self, *set_ids: int) -> Cost:
-        """SCU dispatch plus one SM lookup per operand (SMB-cached).
+    def _issue(
+        self, decision, *set_ids: int, chase: bool = False, feed: bool = True
+    ) -> Dispatch:
+        """Charge one scalar instruction of ``decision``, its ``(opcode,
+        backend, variant, model cost)``.
 
-        A miss is one additional access to the in-memory SM structure;
-        the SM lives near the SCU (logic layer), so the miss pays the
-        near-memory access latency rather than a full off-chip round
-        trip (paper Section 8.4, "Set Metadata").
+        The charge composes, in plain floats: the SCU decode; one
+        SMB-cached SM lookup per operand, in ``set_ids`` order (a miss
+        is one more access to the in-memory SM structure, which lives
+        near the SCU, so it pays the near-memory access latency rather
+        than a full off-chip round trip; paper Section 8.4, "Set
+        Metadata"); with ``chase``, the host's dependent pointer chase
+        to the operand descriptors (the host has no SCU/SMB); then the
+        model cost.  The opcode is recorded and, with ``feed``, counted
+        in the dispatch series.
         """
-        cost = Cost(compute_cycles=self.hw.scu_dispatch_cycles)
+        opcode, backend, variant, cost = decision
+        hw = self.hw
+        access = self.smb.access
+        comp = hw.scu_dispatch_cycles
+        lat = 0.0
         for set_id in set_ids:
-            if self.smb.access(set_id):
-                cost += Cost(compute_cycles=self.hw.sm_hit_cycles)
+            if access(set_id):
+                comp += hw.sm_hit_cycles
             else:
-                cost += Cost(latency_cycles=self.hw.pnm_random_access_cycles)
-        return cost
+                lat += hw.pnm_random_access_cycles
+        if chase:
+            lat += self.cpu.config.set_op_latency_cycles
+        self.stats.record(opcode)
+        if feed and self.obs is not None:
+            self.obs.dispatch(opcode, backend)
+        return Dispatch(
+            opcode,
+            backend,
+            variant,
+            Cost(
+                comp + cost.compute_cycles,
+                cost.memory_bytes,
+                lat + cost.latency_cycles,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Binary set operations
@@ -336,45 +362,16 @@ class Scu:
         output_size: int = 0,
         count_only: bool = False,
     ) -> Dispatch:
-        """Decide and cost a binary set operation ``a op b``.
-
-        The metadata phase (SCU dispatch + one SMB-cached SM lookup per
-        operand, plus the host's descriptor pointer chase in
-        ``host_fallback`` mode) is accumulated in the same order as
-        :meth:`_metadata_cost`; the variant decision and model cost are
-        memoized per operand shape (see :meth:`_decide`).
+        """Decide and cost a binary set operation ``a op b``: the
+        variant decision and model cost of :meth:`_decide` (memoized per
+        operand shape), charged by :meth:`_issue` with both operands'
+        lookups and, in ``host_fallback`` mode, the descriptor chase.
         """
-        hw = self.hw
-        comp = hw.scu_dispatch_cycles
-        lat = 0.0
-        access = self.smb.access
-        if access(a.set_id):
-            comp += hw.sm_hit_cycles
-        else:
-            lat += hw.pnm_random_access_cycles
-        if access(b.set_id):
-            comp += hw.sm_hit_cycles
-        else:
-            lat += hw.pnm_random_access_cycles
-        if self.host_fallback:
-            # The host has no SCU/SMB: each set operation starts with a
-            # dependent pointer chase to the operand descriptors.
-            lat += self.cpu.config.set_op_latency_cycles
-        opcode, backend, variant, cost = self._decide(
-            op, a, b, output_size, count_only
-        )
-        self.stats.record(opcode)
-        if self.obs is not None:
-            self.obs.dispatch(opcode, backend)
-        return Dispatch(
-            opcode,
-            backend,
-            variant,
-            Cost(
-                comp + cost.compute_cycles,
-                cost.memory_bytes,
-                lat + cost.latency_cycles,
-            ),
+        return self._issue(
+            self._decide(op, a, b, output_size, count_only),
+            a.set_id,
+            b.set_id,
+            chase=self.host_fallback,
         )
 
     def _decide(
@@ -530,9 +527,9 @@ class Scu:
         memory: list[float] = []
         latency: list[float] = []
         for i, b in enumerate(bs):
-            # Metadata phase: the accesses and float-accumulation order
-            # of `_metadata_cost(a_id, b_id)` + host latency, less what
-            # a fused macro elides.
+            # Metadata phase: the float-accumulation order of `_issue`
+            # over (a_id, b_id) with the host chase, less what a fused
+            # macro elides.
             lat = 0.0
             if i < len(probes):
                 comp = decode
@@ -619,6 +616,7 @@ class Scu:
         owners = (
             [DispatchStats() for __ in range(max(groups) + 1)] if groups else []
         )
+        counters = [[0] * len(_COUNTERS) for __ in owners]
         for r, (opcode, backend, increments, n) in enumerate(rows):
             by_opcode[opcode] = by_opcode.get(opcode, 0) + n
             if backend is not None:
@@ -630,12 +628,15 @@ class Scu:
             if groups:
                 owner = owners[groups[r]]
                 owner.by_opcode[opcode] = owner.by_opcode.get(opcode, 0) + n
-                for j, x in increments:
-                    name = _COUNTERS[j]
-                    setattr(owner, name, getattr(owner, name) + n * x)
                 owner.instructions += n
+                acc = counters[groups[r]]
+                for j, x in increments:
+                    acc[j] += n * x
         for name, total in zip(_COUNTERS, totals):
             setattr(stats, name, total)
+        for owner, acc in zip(owners, counters):
+            for name, total in zip(_COUNTERS, acc):
+                setattr(owner, name, total)
         if self.obs is not None:
             self.obs.dispatch_counts(dispatched)
         return owners
@@ -686,10 +687,10 @@ class Scu:
 
     def _binary_costs(self, table: OperandTable, shape, hit_a, hit_b):
         """Per-op compute, memory and latency arrays of binary ops of
-        ``table``: :meth:`dispatch_binary`'s metadata phase (SMB
-        lookups ``hit_a`` and ``hit_b``) plus the model cost of entries
-        ``shape``, float for float (adding an exact 0.0 where a branch
-        there adds nothing)."""
+        ``table``: :meth:`_issue`'s composition for
+        :meth:`dispatch_binary` (SMB lookups ``hit_a`` and ``hit_b``)
+        with the model cost of entries ``shape``, float for float
+        (adding an exact 0.0 where a branch there adds nothing)."""
         hw = self.hw
         compute, memory, latency = table.columns()
         comp = np.full(shape.size, hw.scu_dispatch_cycles, dtype=np.float64)
@@ -881,8 +882,8 @@ class Scu:
         comp[i_start], mem[i_start], lat[i_start] = self._binary_costs(
             table, shape, hits[l_start], hits[l_start + 1]
         )
-        # One-lookup metadata ops, as _metadata_cost and
-        # dispatch_delete compose them: the cardinality and the delete.
+        # One-lookup metadata ops, as _issue composes them: the
+        # cardinality and the delete.
         metadata = [(i_end - 1, hits[l_end - 1])]
         if counted:
             metadata.append((i_start + 1, hits[l_start + 2]))
@@ -895,7 +896,7 @@ class Scu:
         comp[scan_at] = np.asarray([cost.compute_cycles for cost in scans])[of]
         mem[scan_at] = np.asarray([cost.memory_bytes for cost in scans])[of]
         lat[scan_at] = np.asarray([cost.latency_cycles for cost in scans])[of]
-        # _metadata_cost plus the bit write, as dispatch_element_update.
+        # One lookup plus the bit write, as dispatch_element_update.
         write = self.cpu.bit_write() if host else self.pum.bit_write()
         hit_t = hits[insert_lookup]
         comp[insert_item] = (disp_c + hit_t * hit_c) + write.compute_cycles
@@ -1047,147 +1048,52 @@ class Scu:
 
     def dispatch_cardinality(self, a: SetMeta) -> Dispatch:
         """|A| is O(1): the size lives in the metadata (Section 6.2.3)."""
-        cost = self._metadata_cost(a.set_id)
-        self.stats.record(Opcode.CARDINALITY)
-        if self.obs is not None:
-            self.obs.dispatch(Opcode.CARDINALITY, "scu")
-        return Dispatch(Opcode.CARDINALITY, "scu", "metadata", cost)
+        return self._issue(
+            (Opcode.CARDINALITY, "scu", "metadata", ZERO_COST), a.set_id
+        )
 
     def dispatch_member(self, a: SetMeta) -> Dispatch:
-        cost = self._metadata_cost(a.set_id)
-        backend = "host" if self.host_fallback else "pnm"
         unit = self.cpu if self.host_fallback else self.pnm
         if a.is_dense:
-            cost += unit.membership_dense()
+            cost = unit.membership_dense()
         elif a.representation is Representation.SPARSE_SORTED:
-            cost += unit.membership_sorted(a.cardinality)
+            cost = unit.membership_sorted(a.cardinality)
         else:
-            cost += unit.membership_unsorted(a.cardinality)
+            cost = unit.membership_unsorted(a.cardinality)
         if self.host_fallback:
             self.stats.host_ops += 1
+            backend = "host"
         else:
             self.stats.pnm_ops += 1
-        self.stats.record(Opcode.MEMBER)
-        if self.obs is not None:
-            self.obs.dispatch(Opcode.MEMBER, backend)
-        return Dispatch(Opcode.MEMBER, backend, "membership", cost)
+            backend = "pnm"
+        return self._issue((Opcode.MEMBER, backend, "membership", cost), a.set_id)
 
-    def dispatch_element_update(self, a: SetMeta, *, insert: bool) -> Dispatch:
-        cost = self._metadata_cost(a.set_id)
+    def dispatch_element_update(
+        self, a: SetMeta, *, insert: bool, cardinality: int | None = None
+    ) -> Dispatch:
+        """``A ∪= {x}`` or ``A \\= {x}``: a bit write on a dense set, an
+        O(|A|) shift on a sparse one.  ``cardinality`` overrides ``a``'s:
+        an update burst passes the cardinality each update observes
+        once the burst's earlier updates have taken effect."""
+        host = self.host_fallback
+        stats = self.stats
         if a.is_dense:
             opcode = Opcode.INSERT_DB if insert else Opcode.REMOVE_DB
-            if self.host_fallback:
-                self.stats.host_ops += 1
-                cost += self.cpu.bit_write()
-                backend = "host"
-            else:
-                self.stats.pum_ops += 1
-                cost += self.pum.bit_write()
-                backend = "pum"
-            variant = "bitwrite"
+            cost = (self.cpu if host else self.pum).bit_write()
+            backend, variant = "pum", "bitwrite"
         else:
             opcode = Opcode.INSERT_SA if insert else Opcode.REMOVE_SA
-            if self.host_fallback:
-                self.stats.host_ops += 1
-                cost += self.cpu.element_update_sa(a.cardinality)
-                backend = "host"
-            else:
-                self.stats.pnm_ops += 1
-                cost += self.pnm.element_update_sa(a.cardinality)
-                backend = "pnm"
-            variant = "shift"
-        self.stats.record(opcode)
-        if self.obs is not None:
-            self.obs.dispatch(opcode, backend)
-        return Dispatch(opcode, backend, variant, cost)
-
-    def dispatch_element_update_batch(
-        self,
-        metas: list[SetMeta],
-        cardinalities: list[int],
-        *,
-        insert: bool,
-    ) -> BatchDispatch:
-        """Amortized dispatch of a whole element-update burst.
-
-        ``metas[i]`` is the SM entry of the set the i-th update targets
-        and ``cardinalities[i]`` the cardinality that update observes
-        (the caller advances it as earlier updates of the burst take
-        effect, exactly as the sequential stream's ``sm.update`` calls
-        would).  Per-op semantics are preserved: SMB accesses happen
-        update by update in instruction order, per-op stats are
-        recorded, and each per-op cost is computed by the same models —
-        float for float — as :meth:`dispatch_element_update`, so
-        simulated cycles are identical to the sequential stream.  Only
-        the Python-level dispatch overhead is amortized (the variant
-        decision and model cost are memoized per operand shape).
-        """
-        hw = self.hw
-        access = self.smb.access
-        stats = self.stats
-        by_opcode = stats.by_opcode
-        memo = self._decision_memo
-        memo_event = self.memo_event
-        host = self.host_fallback
-        disp_c = hw.scu_dispatch_cycles
-        hit_c = hw.sm_hit_cycles
-        miss_c = hw.pnm_random_access_cycles
-        opcodes: list[Opcode] = []
-        backends: list[str] = []
-        variants: list[str] = []
-        compute: list[float] = []
-        memory: list[float] = []
-        latency: list[float] = []
-        for meta, card in zip(metas, cardinalities):
-            comp = disp_c
-            lat = 0.0
-            if access(meta.set_id):
-                comp += hit_c
-            else:
-                lat += miss_c
-            dense = meta.is_dense
-            key = ("e", insert, dense, 0 if dense else card)
-            hit = memo.get(key)
-            if memo_event is not None:
-                memo_event("read", key)
-            if hit is None:
-                if dense:
-                    opcode = Opcode.INSERT_DB if insert else Opcode.REMOVE_DB
-                    cost = self.cpu.bit_write() if host else self.pum.bit_write()
-                    backend = "host" if host else "pum"
-                    variant = "bitwrite"
-                else:
-                    opcode = Opcode.INSERT_SA if insert else Opcode.REMOVE_SA
-                    cost = (
-                        self.cpu.element_update_sa(card)
-                        if host
-                        else self.pnm.element_update_sa(card)
-                    )
-                    backend = "host" if host else "pnm"
-                    variant = "shift"
-                if len(memo) < self._MEMO_LIMIT:
-                    memo[key] = (opcode, backend, variant, cost, 0)
-                    if memo_event is not None:
-                        memo_event("write-idempotent", key)
-            else:
-                opcode, backend, variant, cost, _ = hit
-            if host:
-                stats.host_ops += 1
-            elif dense:
-                stats.pum_ops += 1
-            else:
-                stats.pnm_ops += 1
-            by_opcode[opcode] = by_opcode.get(opcode, 0) + 1
-            opcodes.append(opcode)
-            backends.append(backend)
-            variants.append(variant)
-            compute.append(comp + cost.compute_cycles)
-            memory.append(cost.memory_bytes)
-            latency.append(lat + cost.latency_cycles)
-        stats.instructions += len(opcodes)
-        if self.obs is not None:
-            self.obs.dispatch_batch(opcodes, backends)
-        return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
+            size = a.cardinality if cardinality is None else cardinality
+            cost = (self.cpu if host else self.pnm).element_update_sa(size)
+            backend, variant = "pnm", "shift"
+        if host:
+            stats.host_ops += 1
+            backend = "host"
+        elif a.is_dense:
+            stats.pum_ops += 1
+        else:
+            stats.pnm_ops += 1
+        return self._issue((opcode, backend, variant, cost), a.set_id)
 
     def dispatch_create(self, size: int, *, dense: bool, universe: int) -> Dispatch:
         """Allocate + initialize a set.
@@ -1208,29 +1114,22 @@ class Scu:
         return Dispatch(Opcode.CREATE, "pnm", "alloc", cost)
 
     def dispatch_delete(self, a: SetMeta) -> Dispatch:
-        hw = self.hw
-        comp = hw.scu_dispatch_cycles
-        lat = 0.0
-        if self.smb.access(a.set_id):
-            comp += hw.sm_hit_cycles
-        else:
-            lat += hw.pnm_random_access_cycles
+        dispatch = self._issue(
+            (Opcode.DELETE, "scu", "free", ZERO_COST), a.set_id, feed=False
+        )
         self.smb.invalidate(a.set_id)
-        self.stats.record(Opcode.DELETE)
-        return Dispatch(Opcode.DELETE, "scu", "free", Cost(comp, 0.0, lat))
+        return dispatch
 
     def dispatch_clone(self, a: SetMeta) -> Dispatch:
         """Copy a set.  Dense clones are in-DRAM RowClone copies
         (row-granular, near-free); sparse clones stream the elements."""
+        hw = self.hw
         if a.is_dense:
-            rows = max(1, a.universe // self.hw.row_size_bits)
-            cost = self._metadata_cost(a.set_id) + Cost(
-                latency_cycles=rows * self.hw.effective_op_latency_cycles
-            )
+            rows = max(1, a.universe // hw.row_size_bits)
+            cost = Cost(latency_cycles=rows * hw.effective_op_latency_cycles)
         else:
-            cost = self._metadata_cost(a.set_id) + Cost(
-                memory_bytes=a.cardinality * self.hw.word_bits / 8,
-                latency_cycles=self.hw.effective_op_latency_cycles,
+            cost = Cost(
+                memory_bytes=a.cardinality * hw.word_bits / 8,
+                latency_cycles=hw.effective_op_latency_cycles,
             )
-        self.stats.record(Opcode.CLONE)
-        return Dispatch(Opcode.CLONE, "pnm", "copy", cost)
+        return self._issue((Opcode.CLONE, "pnm", "copy", cost), a.set_id, feed=False)

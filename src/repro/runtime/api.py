@@ -125,8 +125,10 @@ class SisaSet:
         ]
 
     def intersect_many(self, *others: "SisaSet") -> "SisaSet":
-        """CISC-style multi-set intersection ``A ∩ B_1 ∩ ... ∩ B_l``
-        (one instruction; intermediates stay in the accelerator)."""
+        """Multi-set intersection ``A ∩ B_1 ∩ ... ∩ B_l``: a chain of
+        binary intersections, each with its own dispatch and SM lookups,
+        whose intermediates stay in the accelerator (see
+        :meth:`SisaContext.intersect_many`)."""
         return self._wrap(
             self.ctx.intersect_many(
                 self.set_id, *(other.set_id for other in others)

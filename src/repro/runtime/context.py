@@ -53,6 +53,19 @@ MODES = ("sisa", "cpu-set")
 FANOUT_CHUNK_OPS = 1024
 FANOUT_CHUNK_PROBE = 16384
 
+#: Each scalar binary op's function in :mod:`repro.sets.kernels`, by
+#: name (looked up per call, as a direct ``kernels.<name>(...)`` call
+#: is, so a patched module function is the one that runs), and whether
+#: the op is a count form.
+_KERNELS = {
+    SetOp.INTERSECT: ("intersect", False),
+    SetOp.UNION: ("union", False),
+    SetOp.DIFFERENCE: ("difference", False),
+    SetOp.INTERSECT_COUNT: ("intersect_cardinality", True),
+    SetOp.UNION_COUNT: ("union_cardinality", True),
+    SetOp.DIFFERENCE_COUNT: ("difference_cardinality", True),
+}
+
 
 class FanoutProgram:
     """A neighbourhood fan-out as a chunked array program.
@@ -305,21 +318,24 @@ class SisaContext:
     # Binary operations
     # ------------------------------------------------------------------
 
-    def _binary(self, op: SetOp, a: int, b: int) -> VertexSet:
-        """Materializing binary op: exact result plus modeled cost."""
+    def _binary(self, op: SetOp, a: int, b: int):
+        """Binary op ``a op b``: exact result plus modeled cost.
+
+        Materializing ops return the result set; count forms (§6.2.3)
+        return its cardinality, computed by the zero-materialization
+        kernels — no result set is allocated for any representation
+        pair.
+        """
+        name, count_only = _KERNELS[op]
         va, vb = self.sm.value(a), self.sm.value(b)
-        if op is SetOp.INTERSECT:
-            result = kernels.intersect(va, vb)
-        elif op is SetOp.UNION:
-            result = kernels.union(va, vb)
-        else:
-            result = kernels.difference(va, vb)
+        result = getattr(kernels, name)(va, vb)
+        size = result if count_only else result.cardinality
         dispatch = self.scu.dispatch_binary(
             op,
             self.sm.meta(a),
             self.sm.meta(b),
-            output_size=result.cardinality,
-            count_only=False,
+            output_size=0 if count_only else size,
+            count_only=count_only,
         )
         self.engine.charge(dispatch.cost)
         if self.trace.enabled:
@@ -329,45 +345,12 @@ class SisaContext:
                     lane=self._current_lane,
                     size_a=va.cardinality,
                     size_b=vb.cardinality,
-                    output_size=result.cardinality,
+                    output_size=size,
                     backend=dispatch.backend,
                     variant=dispatch.variant,
                 )
             )
         return result
-
-    def _count(self, op: SetOp, a: int, b: int) -> int:
-        """Count-form binary op (§6.2.3): the result cardinality is
-        computed by the zero-materialization kernels — no result set is
-        allocated for any representation pair."""
-        va, vb = self.sm.value(a), self.sm.value(b)
-        if op is SetOp.INTERSECT_COUNT:
-            card = kernels.intersect_cardinality(va, vb)
-        elif op is SetOp.UNION_COUNT:
-            card = kernels.union_cardinality(va, vb)
-        else:
-            card = kernels.difference_cardinality(va, vb)
-        dispatch = self.scu.dispatch_binary(
-            op,
-            self.sm.meta(a),
-            self.sm.meta(b),
-            output_size=0,
-            count_only=True,
-        )
-        self.engine.charge(dispatch.cost)
-        if self.trace.enabled:
-            self.trace.record(
-                TraceEvent(
-                    opcode=dispatch.opcode,
-                    lane=self._current_lane,
-                    size_a=va.cardinality,
-                    size_b=vb.cardinality,
-                    output_size=card,
-                    backend=dispatch.backend,
-                    variant=dispatch.variant,
-                )
-            )
-        return card
 
     def intersect(self, a: int, b: int) -> int:
         return self.sm.register(self._binary(SetOp.INTERSECT, a, b))
@@ -379,13 +362,13 @@ class SisaContext:
         return self.sm.register(self._binary(SetOp.DIFFERENCE, a, b))
 
     def intersect_count(self, a: int, b: int) -> int:
-        return self._count(SetOp.INTERSECT_COUNT, a, b)
+        return self._binary(SetOp.INTERSECT_COUNT, a, b)
 
     def union_count(self, a: int, b: int) -> int:
-        return self._count(SetOp.UNION_COUNT, a, b)
+        return self._binary(SetOp.UNION_COUNT, a, b)
 
     def difference_count(self, a: int, b: int) -> int:
-        return self._count(SetOp.DIFFERENCE_COUNT, a, b)
+        return self._binary(SetOp.DIFFERENCE_COUNT, a, b)
 
     # ------------------------------------------------------------------
     # Batched count operations (amortized dispatch over a frontier)
@@ -843,13 +826,16 @@ class SisaContext:
             )
 
     def intersect_many(self, *set_ids: int) -> int:
-        """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one
-        instruction (paper Section 11's proposed extension).
+        """Multi-set intersection ``A1 ∩ ... ∩ Al`` (paper Section 11's
+        proposed CISC-style extension), modeled as a chain of binary
+        intersections, smallest set first.
 
-        Functionally it folds pairwise intersections smallest-first;
-        its timing advantage over a chain of binary instructions is a
-        single dispatch/metadata phase and no write-back of the
-        intermediate results (they stay in the accelerator).
+        Each chained step is dispatched as a binary instruction: it pays
+        one SCU decode and two SM lookups, and records its binary opcode
+        in the dispatch stats (``INTERSECT_MANY`` appears only in the
+        trace).  The one saving over separate binary instructions is the
+        intermediate write-backs: the intermediates stay in the
+        accelerator, and only the final result is written.
         """
         if len(set_ids) < 2:
             raise ConfigError("intersect_many needs at least two sets")
@@ -948,7 +934,7 @@ class SisaContext:
         self.sm.update(set_id, value.without_element(x))
 
     # ------------------------------------------------------------------
-    # Batched element updates (amortized dispatch over an update burst)
+    # Batched element updates (one functional rewrite per target set)
     # ------------------------------------------------------------------
 
     def _element_update_batch(self, updates, *, insert: bool) -> np.ndarray:
@@ -957,7 +943,8 @@ class SisaContext:
         Functionally each target set is rewritten once by a bulk
         ``with_elements``/``without_elements`` merge; timing-wise the
         SCU dispatches one element-update instruction per requested
-        update, in stream order, each observing the cardinality the
+        update (:meth:`~repro.isa.scu.Scu.dispatch_element_update`), in
+        stream order, each observing the cardinality the
         equivalent sequential ``insert``/``remove`` stream would have
         seen (no-op updates — element already present/absent — still
         dispatch and pay, exactly like the scalar path).  Returns a
@@ -1006,14 +993,20 @@ class SisaContext:
                 new_values.append(
                     (set_id, value.with_elements(arr) if insert else value.without_elements(arr))
                 )
-        bd = self.scu.dispatch_element_update_batch(metas, cards, insert=insert)
-        self.engine.charge_batch(bd.compute, bd.memory, bd.latency)
+        update = self.scu.dispatch_element_update
+        costs = [
+            update(meta, insert=insert, cardinality=card).cost
+            for meta, card in zip(metas, cards)
+        ]
+        for cost in costs:
+            self.engine.charge(cost)
         if obs is not None:
             obs.kernel_end(
                 span,
-                sum(bd.compute)
-                + sum(bd.latency)
-                + sum(bd.memory) / self.engine.bytes_per_cycle,
+                sum(cost.compute_cycles for cost in costs)
+                + sum(cost.latency_cycles for cost in costs)
+                + sum(cost.memory_bytes for cost in costs)
+                / self.engine.bytes_per_cycle,
                 None,
                 cards,
             )
@@ -1023,8 +1016,8 @@ class SisaContext:
 
     def insert_batch(self, updates) -> np.ndarray:
         """Batched ``A_i ∪= {x_i}`` for ``(set_id, x)`` pairs: one
-        amortized dispatch burst, cycle-identical to the sequential
-        ``insert`` stream."""
+        dispatch burst, leaving the machine as the sequential ``insert``
+        stream does."""
         return self._element_update_batch(updates, insert=True)
 
     def remove_batch(self, updates) -> np.ndarray:

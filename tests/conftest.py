@@ -12,6 +12,24 @@ from repro.hw.config import HardwareConfig
 from repro.runtime import context as contextmod
 
 
+def pytest_collection_modifyitems(items):
+    """Keep hypothesis failure reports readable under ``-W
+    error::DeprecationWarning``.
+
+    To report a falsifying example, hypothesis's pytest plugin imports
+    libcst, and with some ``mypy_extensions`` versions that import warns
+    "TypedDict is deprecated"; as an error, the warning turns the report
+    into an INTERNALERROR that never shows the example.  A ``filterwarnings``
+    ini entry loses to the command-line ``-W``, a per-item mark does not.
+    Only that one third-party message is ignored.
+    """
+    mark = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
+    for item in items:
+        item.add_marker(mark)
+
+
 @pytest.fixture
 def small_graph() -> CSRGraph:
     """A hand-built graph with known structure:

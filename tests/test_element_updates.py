@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import machine_state
 from repro.runtime.context import SisaContext
 from repro.sets.base import Representation, VertexSet
 from repro.sets.dense import DenseBitvector
@@ -143,6 +144,9 @@ class TestBatchedElementUpdates:
             assert ctx_b.scu.stats == ctx_s.scu.stats
             assert ctx_b.scu.smb.stats.hits == ctx_s.scu.smb.stats.hits
             assert ctx_b.scu.smb.stats.misses == ctx_s.scu.smb.stats.misses
+            # The same machine: SMB order, stats and their opcode order,
+            # decision-memo keys, lanes and the set-metadata table.
+            assert machine_state(ctx_b) == machine_state(ctx_s)
             for sb, ss in zip(sids_b, sids_s):
                 assert np.array_equal(
                     ctx_b.value(sb).to_array(), ctx_s.value(ss).to_array()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import IsaError
 from repro.hw.config import HardwareConfig
+from repro.hw.cost import Cost
 from repro.isa.metadata import SetMetadataTable
 from repro.isa.opcodes import Opcode, SetOp, opcode_uses_pum
 from repro.isa.perfmodel import (
@@ -11,7 +12,8 @@ from repro.isa.perfmodel import (
     predict_galloping,
     predict_streaming,
 )
-from repro.isa.scu import Scu
+from repro.isa.scu import _COUNTERS, Scu, _counters
+from repro.observability import Observability
 from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
 
@@ -256,6 +258,210 @@ class TestFusedBurst:
                 count_only=True,
                 include_decode=True,
             )
+
+
+class TestScalarCharges:
+    """Every scalar instruction's charge in closed form: the SCU decode,
+    then one SMB-cached SM lookup per operand in operand order (a hit
+    adds ``sm_hit_cycles`` to compute, a miss ``pnm_random_access_cycles``
+    to latency), then the host's descriptor chase for binary ops, then
+    the op's model cost."""
+
+    HW = TestFusedBurst.HW
+    BINARY = [
+        (SetOp.INTERSECT, 7, False),
+        (SetOp.DIFFERENCE_COUNT, 0, True),
+    ]
+
+    def _run(self, host, call, ids=(), warm=()):
+        """Run ``call(scu)`` on a fresh SCU with an observability hub,
+        the operands at ``warm`` positions already in the SMB."""
+        scu = Scu(self.HW, host_fallback=host)
+        scu.obs = Observability()
+        for pos in warm:
+            scu.smb.access(ids[pos])
+        return scu, call(scu)
+
+    def _check(self, scu, dispatch, model, *, lookups, warm=(), binary=False):
+        hw = self.HW
+        compute = hw.scu_dispatch_cycles
+        latency = 0.0
+        for pos in range(lookups):
+            if pos in warm:
+                compute += hw.sm_hit_cycles
+            else:
+                latency += hw.pnm_random_access_cycles
+        if binary and scu.host_fallback:
+            latency += scu.cpu.config.set_op_latency_cycles
+        assert dispatch.cost.compute_cycles == compute + model.compute_cycles
+        assert dispatch.cost.memory_bytes == model.memory_bytes
+        assert dispatch.cost.latency_cycles == latency + model.latency_cycles
+        # The warm-up lookups miss; the op's own hit exactly at ``warm``.
+        assert scu.smb.stats.hits == len(warm)
+        assert scu.smb.stats.misses == lookups
+
+    @staticmethod
+    def _moved(stats) -> dict:
+        counters = zip(_COUNTERS, _counters(stats))
+        return {name: value for name, value in counters if value}
+
+    @staticmethod
+    def _fed(scu) -> dict:
+        return dict(scu.obs.registry.families()["sisa_dispatch_total"].series)
+
+    def _check_record(self, scu, dispatch, opcode, backend, variant, moved, *, fed):
+        assert (dispatch.opcode, dispatch.backend, dispatch.variant) == (
+            opcode,
+            backend,
+            variant,
+        )
+        assert scu.stats.instructions == 1
+        assert scu.stats.by_opcode == {opcode: 1}
+        assert self._moved(scu.stats) == moved
+        assert self._fed(scu) == ({(opcode.name, backend): 1.0} if fed else {})
+
+    @pytest.mark.parametrize("warm", [(), (0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("host", [False, True])
+    @pytest.mark.parametrize("op,output_size,count_only", BINARY)
+    @pytest.mark.parametrize("pair", ["sparse", "mixed", "dense"])
+    def test_binary(self, table, pair, op, output_size, count_only, host, warm):
+        if pair == "sparse":
+            a, b = register_sa(table, 40)[0], register_sa(table, 2000)[0]
+        elif pair == "mixed":
+            a, b = register_sa(table, 40)[0], register_db(table, 900)
+        else:
+            a, b = register_db(table, 300), register_db(table, 900)
+        ma, mb = table.meta(a), table.meta(b)
+        ref = Scu(self.HW, host_fallback=host)
+        opcode, backend, variant, model = ref._decide(
+            op, ma, mb, output_size, count_only
+        )
+        scu, dispatch = self._run(
+            host,
+            lambda scu: scu.dispatch_binary(
+                op, ma, mb, output_size=output_size, count_only=count_only
+            ),
+            [a, b],
+            warm,
+        )
+        self._check(scu, dispatch, model, lookups=2, warm=warm, binary=True)
+        expected = "host" if host else ("pum" if pair == "dense" else "pnm")
+        assert backend == expected
+        self._check_record(
+            scu, dispatch, opcode, backend, variant, self._moved(ref.stats), fed=True
+        )
+
+    @pytest.mark.parametrize("warm", [(), (0,)])
+    @pytest.mark.parametrize("host", [False, True])
+    def test_cardinality(self, table, host, warm):
+        a = register_db(table, 10)
+        scu, dispatch = self._run(
+            host, lambda scu: scu.dispatch_cardinality(table.meta(a)), [a], warm
+        )
+        self._check(scu, dispatch, Cost(), lookups=1, warm=warm)
+        self._check_record(
+            scu, dispatch, Opcode.CARDINALITY, "scu", "metadata", {}, fed=True
+        )
+
+    @pytest.mark.parametrize("warm", [(), (0,)])
+    @pytest.mark.parametrize("host", [False, True])
+    @pytest.mark.parametrize("kind", ["dense", "sorted", "unsorted"])
+    def test_member(self, table, kind, host, warm):
+        if kind == "dense":
+            a = register_db(table, 300)
+        else:
+            a = register_sa(table, 300, sorted_=kind == "sorted")[0]
+        scu, dispatch = self._run(
+            host, lambda scu: scu.dispatch_member(table.meta(a)), [a], warm
+        )
+        unit = scu.cpu if host else scu.pnm
+        if kind == "dense":
+            model = unit.membership_dense()
+        elif kind == "sorted":
+            model = unit.membership_sorted(300)
+        else:
+            model = unit.membership_unsorted(300)
+        self._check(scu, dispatch, model, lookups=1, warm=warm)
+        backend = "host" if host else "pnm"
+        self._check_record(
+            scu,
+            dispatch,
+            Opcode.MEMBER,
+            backend,
+            "membership",
+            {f"{backend}_ops": 1},
+            fed=True,
+        )
+
+    @pytest.mark.parametrize("warm", [(), (0,)])
+    @pytest.mark.parametrize("host", [False, True])
+    @pytest.mark.parametrize("insert", [True, False])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_element_update(self, table, dense, insert, host, warm):
+        a = register_db(table, 300) if dense else register_sa(table, 300)[0]
+        scu, dispatch = self._run(
+            host,
+            lambda scu: scu.dispatch_element_update(table.meta(a), insert=insert),
+            [a],
+            warm,
+        )
+        if dense:
+            model = (scu.cpu if host else scu.pum).bit_write()
+            opcode = Opcode.INSERT_DB if insert else Opcode.REMOVE_DB
+            backend = "host" if host else "pum"
+            variant = "bitwrite"
+        else:
+            model = (scu.cpu if host else scu.pnm).element_update_sa(300)
+            opcode = Opcode.INSERT_SA if insert else Opcode.REMOVE_SA
+            backend = "host" if host else "pnm"
+            variant = "shift"
+        self._check(scu, dispatch, model, lookups=1, warm=warm)
+        self._check_record(
+            scu, dispatch, opcode, backend, variant, {f"{backend}_ops": 1}, fed=True
+        )
+
+    @pytest.mark.parametrize("warm", [(), (0,)])
+    @pytest.mark.parametrize("host", [False, True])
+    def test_delete(self, table, host, warm):
+        a = register_sa(table, 30)[0]
+        scu, dispatch = self._run(
+            host, lambda scu: scu.dispatch_delete(table.meta(a)), [a], warm
+        )
+        self._check(scu, dispatch, Cost(), lookups=1, warm=warm)
+        self._check_record(scu, dispatch, Opcode.DELETE, "scu", "free", {}, fed=False)
+        assert not scu.smb.access(a)
+
+    @pytest.mark.parametrize("warm", [(), (0,)])
+    @pytest.mark.parametrize("host", [False, True])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_clone(self, table, dense, host, warm):
+        hw = self.HW
+        a = register_db(table, 300) if dense else register_sa(table, 300)[0]
+        scu, dispatch = self._run(
+            host, lambda scu: scu.dispatch_clone(table.meta(a)), [a], warm
+        )
+        if dense:
+            rows = max(1, UNIVERSE // hw.row_size_bits)
+            model = Cost(latency_cycles=rows * hw.effective_op_latency_cycles)
+        else:
+            model = Cost(
+                memory_bytes=300 * hw.word_bits / 8,
+                latency_cycles=hw.effective_op_latency_cycles,
+            )
+        self._check(scu, dispatch, model, lookups=1, warm=warm)
+        self._check_record(scu, dispatch, Opcode.CLONE, "pnm", "copy", {}, fed=False)
+
+    @pytest.mark.parametrize("host", [False, True])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_create(self, dense, host):
+        hw = self.HW
+        scu, dispatch = self._run(
+            host, lambda scu: scu.dispatch_create(300, dense=dense, universe=UNIVERSE)
+        )
+        bits = min(UNIVERSE, 300 * hw.word_bits) if dense else hw.word_bits * 300
+        assert dispatch.cost == Cost(2 * hw.scu_dispatch_cycles, bits / 8, 0.0)
+        assert scu.smb.stats.accesses == 0
+        self._check_record(scu, dispatch, Opcode.CREATE, "pnm", "alloc", {}, fed=False)
 
 
 class TestMetadataTable:

@@ -1053,19 +1053,18 @@ class Scu:
         )
 
     def dispatch_member(self, a: SetMeta) -> Dispatch:
-        unit = self.cpu if self.host_fallback else self.pnm
+        if self.host_fallback:
+            self.stats.host_ops += 1
+            unit, backend = self.cpu, "host"
+        else:
+            self.stats.pnm_ops += 1
+            unit, backend = self.pnm, "pnm"
         if a.is_dense:
             cost = unit.membership_dense()
         elif a.representation is Representation.SPARSE_SORTED:
             cost = unit.membership_sorted(a.cardinality)
         else:
             cost = unit.membership_unsorted(a.cardinality)
-        if self.host_fallback:
-            self.stats.host_ops += 1
-            backend = "host"
-        else:
-            self.stats.pnm_ops += 1
-            backend = "pnm"
         return self._issue((Opcode.MEMBER, backend, "membership", cost), a.set_id)
 
     def dispatch_element_update(
@@ -1075,24 +1074,22 @@ class Scu:
         O(|A|) shift on a sparse one.  ``cardinality`` overrides ``a``'s:
         an update burst passes the cardinality each update observes
         once the burst's earlier updates have taken effect."""
-        host = self.host_fallback
-        stats = self.stats
+        if self.host_fallback:
+            self.stats.host_ops += 1
+            unit, backend = self.cpu, "host"
+        elif a.is_dense:
+            self.stats.pum_ops += 1
+            unit, backend = self.pum, "pum"
+        else:
+            self.stats.pnm_ops += 1
+            unit, backend = self.pnm, "pnm"
         if a.is_dense:
             opcode = Opcode.INSERT_DB if insert else Opcode.REMOVE_DB
-            cost = (self.cpu if host else self.pum).bit_write()
-            backend, variant = "pum", "bitwrite"
+            cost, variant = unit.bit_write(), "bitwrite"
         else:
             opcode = Opcode.INSERT_SA if insert else Opcode.REMOVE_SA
             size = a.cardinality if cardinality is None else cardinality
-            cost = (self.cpu if host else self.pnm).element_update_sa(size)
-            backend, variant = "pnm", "shift"
-        if host:
-            stats.host_ops += 1
-            backend = "host"
-        elif a.is_dense:
-            stats.pum_ops += 1
-        else:
-            stats.pnm_ops += 1
+            cost, variant = unit.element_update_sa(size), "shift"
         return self._issue((opcode, backend, variant, cost), a.set_id)
 
     def dispatch_create(self, size: int, *, dense: bool, universe: int) -> Dispatch:
